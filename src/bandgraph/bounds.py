@@ -122,8 +122,7 @@ def exact_bandwidth_large_b(p: Params) -> int:
         raise ValueError(
             f"needs 2b >= n+k-1 (central set nonempty); got n={p.n}, k={p.k}, b={p.b}"
         )
-    total = vertex_count_formula(p) + central_count(p) - 2
-    return -(total // -2)
+    return central_lower_bound(p)
 
 
 def central_lower_bound(p: Params) -> int:

@@ -160,6 +160,15 @@ def _parse_fraction(tok: str) -> Fraction:
     return v
 
 
+def count(tok: str) -> int:
+    """argparse type for --random: a non-negative integer (argparse
+    names the type in its message, hence the plain name)."""
+    v = int(tok)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {tok}")
+    return v
+
+
 def _parse_pair(tok: str) -> tuple[int, int]:
     parts = tok.split(":")
     if len(parts) != 2:
@@ -404,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=[*suite_names(), "all"])
-    p_verify.add_argument("--random", type=int, default=None, help="randomized-instance count")
+    p_verify.add_argument("--random", type=count, default=None, help="randomized-instance count")
     p_verify.add_argument("--seed", type=int, default=None, help="random seed")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -455,14 +455,12 @@ def _point_strictly_inside(px: Fraction, py: Fraction, pts: tuple[RatPoint, ...]
     return inside
 
 
-def region_vertex_count(
-    poly: Polygon, n: int, k: int, include_boundary: bool = True
-) -> int:
-    """Number of vertices X of G(n, k, n) with (min/n, max/n) in the polygon.
+def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
+    """Number of vertices X of G(n, k, n) with (min/n, max/n) in the
+    closed polygon.
 
     Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices.
-    Membership tests are exact; the boundary counts as inside unless
-    include_boundary is False.
+    Membership tests are exact; the boundary counts as inside.
     """
     pts = poly.cleaned()
     if len(pts) < 3:
@@ -482,11 +480,6 @@ def region_vertex_count(
             if size == 0:
                 continue
             py = Fraction(j, n)
-            on_edge = _point_on_boundary(px, py, pts)
-            if on_edge:
-                if include_boundary:
-                    total += size
-                continue
-            if _point_strictly_inside(px, py, pts):
+            if _point_on_boundary(px, py, pts) or _point_strictly_inside(px, py, pts):
                 total += size
     return total

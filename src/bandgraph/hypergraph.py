@@ -33,6 +33,7 @@ __all__ = [
     "weak_edge_clique_cover_number",
     "check_cover_equivalence",
     "maximal_banded_hypergraph",
+    "band_graph_as_simple_graph",
     "transform_equals_band_graph",
     "hypergraph_numbering_bandwidth",
     "parse_hypergraph",
@@ -100,11 +101,7 @@ class SimpleGraph:
 
 def two_section(h: Hypergraph) -> SimpleGraph:
     """Graph on H's vertices joining every pair lying in a common edge."""
-    pairs = set()
-    for e in h.edges:
-        for u, v in combinations(sorted(e), 2):
-            pairs.add(frozenset((u, v)))
-    return SimpleGraph(h.vertex_count, pairs)
+    return SimpleGraph(h.vertex_count, _pair_set(h))
 
 
 def _pair_set(h: Hypergraph) -> set[frozenset[int]]:
@@ -251,18 +248,24 @@ def maximal_banded_hypergraph(p: Params) -> Hypergraph:
     return Hypergraph(p.n + 1, (frozenset(v) for v in enumerate_vertices(p)))
 
 
+def band_graph_as_simple_graph(p: Params) -> tuple[SimpleGraph, list]:
+    """G(n, k, b) as an explicit SimpleGraph; second value maps each
+    graph index back to its vertex tuple (lex order)."""
+    verts = list(enumerate_vertices(p))
+    edges = set()
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if are_adjacent(verts[i], verts[j], p):
+                edges.add(frozenset((i, j)))
+    return SimpleGraph(len(verts), edges), verts
+
+
 def transform_equals_band_graph(p: Params) -> bool:
     """Whether weak_edge_clique_graph(maximal_banded_hypergraph(p)) has
     exactly the edge set of G(n, k, b) under the index identification
     edge i <-> i-th vertex in lex order."""
-    verts = list(enumerate_vertices(p))
     transformed = weak_edge_clique_graph(maximal_banded_hypergraph(p))
-    expected = set()
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if are_adjacent(verts[i], verts[j], p):
-                expected.add(frozenset((i, j)))
-    return transformed.edges == frozenset(expected)
+    return transformed.edges == band_graph_as_simple_graph(p)[0].edges
 
 
 def hypergraph_numbering_bandwidth(h: Hypergraph, f) -> int:

@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import beta_decomposition
 from .core_graph import (
     Params,
     Vertex,
@@ -109,15 +110,13 @@ class MirrorPartition:
     fixing the central block, hence |r0| and |r1| differ by at most 1:
     non-central vertices with min+max < n go left, > n go right, and the
     palindromic ones (min+max = n) are dealt out alternately by
-    ascending lex rank (sym_left, sym_right record that deal).
+    ascending lex rank.
     """
 
     params: Params
     r0: tuple[Vertex, ...]
     central: tuple[Vertex, ...]
     r1: tuple[Vertex, ...]
-    sym_left: tuple[Vertex, ...]
-    sym_right: tuple[Vertex, ...]
 
 
 def mirror_partition(p: Params) -> MirrorPartition:
@@ -136,18 +135,9 @@ def mirror_partition(p: Params) -> MirrorPartition:
                 high.append(v)
             else:
                 sym.append(v)
-    sym_left = sym[0::2]
-    sym_right = sym[1::2]
-    r0 = sorted(low + sym_left)
-    r1 = sorted(high + sym_right, key=lambda t: t[::-1])
-    return MirrorPartition(
-        params=p,
-        r0=tuple(r0),
-        central=tuple(cent),
-        r1=tuple(r1),
-        sym_left=tuple(sym_left),
-        sym_right=tuple(sym_right),
-    )
+    r0 = sorted(low + sym[0::2])
+    r1 = sorted(high + sym[1::2], key=lambda t: t[::-1])
+    return MirrorPartition(params=p, r0=tuple(r0), central=tuple(cent), r1=tuple(r1))
 
 
 def mirror_numbering(p: Params) -> Numbering:
@@ -164,11 +154,11 @@ def mirror_numbering(p: Params) -> Numbering:
 
 @dataclass(frozen=True)
 class _BandScale:
-    """Integer form of the decomposition 1 = q*(b/n) + r/... : n = q*b + R.
+    """Integer form of the decomposition 1 = q*(b/n) + r: n = q*b + R.
 
     R = r*n and S = b - R = (beta - r)*n are plain integers, so every
-    block boundary below is an exact integer comparison.  q*S >= b is
-    the low-remainder condition (equivalent to r <= beta*(1-1/q)).
+    block boundary below is an exact integer comparison.  q and regime
+    are those of ``beta_decomposition(b/n)``.
     """
 
     n: int
@@ -176,10 +166,7 @@ class _BandScale:
     q: int
     R: int
     S: int
-
-    @property
-    def low_remainder(self) -> bool:
-        return self.q * self.S >= self.b
+    regime: str
 
 
 def _band_scale(p: Params) -> _BandScale:
@@ -187,9 +174,9 @@ def _band_scale(p: Params) -> _BandScale:
         raise ValueError(
             f"band numbering needs b/n <= 1/2, got {p.b}/{p.n}"
         )
-    q = p.n // p.b
-    R = p.n - q * p.b
-    return _BandScale(n=p.n, b=p.b, q=q, R=R, S=p.b - R)
+    dec = beta_decomposition(Fraction(p.b, p.n))
+    R = p.n - dec.q * p.b
+    return _BandScale(n=p.n, b=p.b, q=dec.q, R=R, S=p.b - R, regime=dec.regime)
 
 
 def _strip_block(x: int, y: int, sc: _BandScale) -> tuple[str, int]:
@@ -229,12 +216,11 @@ def _tri_key(x: int, y: int, i: int, sc: _BandScale) -> tuple:
 
 
 def low_remainder_numbering(p: Params) -> Numbering:
-    """Band-decomposition order for q*S >= b (remainder below the
-    regime threshold): quadrangle strip 0, triangle 1, strip 1, ...,
-    triangle q, strip q.  Strips are ordered by (M_i, y-x, tuple),
-    triangles by the apex-fan key."""
+    """Band-decomposition order for the low-remainder regime: quadrangle
+    strip 0, triangle 1, strip 1, ..., triangle q, strip q.  Strips are
+    ordered by (M_i, y-x, tuple), triangles by the apex-fan key."""
     sc = _band_scale(p)
-    if not sc.low_remainder:
+    if sc.regime != "low":
         raise ValueError(
             f"b/n = {p.b}/{p.n} has a high remainder; use high_remainder_numbering"
         )
@@ -255,8 +241,8 @@ def low_remainder_numbering(p: Params) -> Numbering:
 
 
 def high_remainder_numbering(p: Params) -> Numbering:
-    """Band-decomposition order for q*S < b: hexagon 0, triangle 1,
-    hexagon 1, ..., triangle q, hexagon q.
+    """Band-decomposition order for the high-remainder regime: hexagon 0,
+    triangle 1, hexagon 1, ..., triangle q, hexagon q.
 
     Each hexagon is cut by the apex line y = x + q*S into a lower
     quadrangle (classified by the same M_i strips as the low-remainder
@@ -271,7 +257,7 @@ def high_remainder_numbering(p: Params) -> Numbering:
     abscissa and equals the reflected-radius order on each ray.
     """
     sc = _band_scale(p)
-    if sc.low_remainder:
+    if sc.regime == "low":
         raise ValueError(
             f"b/n = {p.b}/{p.n} has a low remainder; use low_remainder_numbering"
         )
@@ -309,8 +295,8 @@ def high_remainder_numbering(p: Params) -> Numbering:
 def bandwidth_by_edge_scan(f: Numbering) -> int:
     """Reference evaluator: scan vertex pairs for adjacency directly.
 
-    Quadratic in |V|; used as an independent oracle and for k = 1,
-    where span classes are singletons.
+    Quadratic in |V|.  It is the independent test oracle for
+    ``bandwidth_of_numbering`` and no library path calls it.
     """
     p = f.params
     verts = f.order
@@ -335,14 +321,12 @@ def bandwidth_of_numbering(f: Numbering) -> int:
     rectangle-max query in O(1) per class.  The query rectangle always
     contains c1 itself, which also accounts for intra-class edges
     (same-class vertices are always adjacent); a singleton class only
-    contributes its own 0.  Runs in O(|V| + n^2).
+    contributes its own 0.  Exact for every k: at k = 1 each class is a
+    singleton (lo, lo).  Runs in O(|V| + n^2).
     """
     p = f.params
     n, b = p.n, p.b
     m = len(f.order)
-    if p.k == 1 or m <= 1:
-        return bandwidth_by_edge_scan(f)
-
     los = np.fromiter((v[0] for v in f.order), dtype=np.int64, count=m)
     his = np.fromiter((v[-1] for v in f.order), dtype=np.int64, count=m)
     labels = np.arange(1, m + 1, dtype=np.int64)

@@ -10,10 +10,11 @@ found is a witness numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .bounds import central_lower_bound, density_lower_bound, exact_bandwidth_large_b
-from .core_graph import Params, central_count, enumerate_vertices, vertex_count_formula
-from .hypergraph import CapacityError, SimpleGraph
+from .bounds import beta_decomposition, central_lower_bound, density_lower_bound
+from .core_graph import Params, central_count, vertex_count_formula
+from .hypergraph import CapacityError, SimpleGraph, band_graph_as_simple_graph
 from .numbering import (
     Numbering,
     bandwidth_of_numbering,
@@ -27,7 +28,6 @@ from .numbering import (
 __all__ = [
     "exact_bandwidth",
     "exact_bandwidth_with_witness",
-    "band_graph_as_simple_graph",
     "Certificate",
     "certify",
 ]
@@ -141,20 +141,6 @@ def exact_bandwidth(g: SimpleGraph, cap: int = DEFAULT_CAP) -> int:
     return exact_bandwidth_with_witness(g, cap=cap)[0]
 
 
-def band_graph_as_simple_graph(p: Params) -> tuple[SimpleGraph, list]:
-    """G(n, k, b) as an explicit SimpleGraph; second value maps each
-    graph index back to its vertex tuple (lex order)."""
-    from .core_graph import are_adjacent
-
-    verts = list(enumerate_vertices(p))
-    edges = set()
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if are_adjacent(verts[i], verts[j], p):
-                edges.add(frozenset((i, j)))
-    return SimpleGraph(len(verts), edges), verts
-
-
 # ── certification ─────────────────────────────────────────────────────
 
 
@@ -200,9 +186,9 @@ def certify(p: Params, run_exact: bool = False, cap: int = DEFAULT_CAP) -> Certi
 
     candidates = [lex_numbering(p), mirror_numbering(p)]
     if 2 * p.b <= p.n:
-        try:
+        if beta_decomposition(Fraction(p.b, p.n)).regime == "low":
             candidates.append(low_remainder_numbering(p))
-        except ValueError:
+        else:
             candidates.append(high_remainder_numbering(p))
 
     best: tuple[int, Numbering] | None = None

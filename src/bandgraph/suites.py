@@ -27,13 +27,13 @@ from .bounds import (
     coefficients,
     density_lower_bound,
     exact_bandwidth_large_b,
+    lex_upper_bound_value,
     unresolved_beta_measure,
 )
 from .core_graph import (
     Params,
     central_count,
     class_size,
-    comb0,
     diameter,
     distance_upper_bound,
     interval_distance,
@@ -47,7 +47,12 @@ from .geometry import (
     region_vertex_count,
     verify_identities,
 )
-from .hypergraph import Hypergraph, check_cover_equivalence, transform_equals_band_graph
+from .hypergraph import (
+    Hypergraph,
+    band_graph_as_simple_graph,
+    check_cover_equivalence,
+    transform_equals_band_graph,
+)
 from .numbering import (
     bandwidth_of_numbering,
     high_remainder_numbering,
@@ -55,7 +60,7 @@ from .numbering import (
     low_remainder_numbering,
     mirror_numbering,
 )
-from .solver import band_graph_as_simple_graph, exact_bandwidth
+from .solver import exact_bandwidth
 
 __all__ = ["Check", "SuiteResult", "SUITES", "run_suite", "suite_names"]
 
@@ -190,7 +195,7 @@ def suite_numberings() -> SuiteResult:
             p = Params(n=n, k=k, b=b)
             lexw = bandwidth_of_numbering(lex_numbering(p))
             lo = density_lower_bound(p)
-            ok = lo == lexw == pinned == k * comb0(b, k)
+            ok = lo == lexw == pinned == lex_upper_bound_value(p)
             checks.append(
                 Check(
                     id=f"lex-pin({n},{k},{b})",

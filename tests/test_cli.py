@@ -224,6 +224,14 @@ class TestVerify:
     def test_seed_and_random_flags(self, capsys):
         assert main(["verify", "cover-equivalence", "--random", "5", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("suite", ["meta", "cover-equivalence"])
+    def test_negative_random_exit_2(self, suite, capsys):
+        # a negative count would run no random instance and pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--random", "-5"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])

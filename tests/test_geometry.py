@@ -304,15 +304,14 @@ class TestRegionCount:
             )
 
     def test_boundary_toggle(self):
-        # square in omega: boundary classes drop when excluded
+        # square in omega with lattice points on its edges: the count is
+        # the closed one, which the open count would undercut
         corners = [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 2), F(3, 4)), (F(1, 4), F(3, 4))]
         sq = Polygon(corners)
         n, k = 8, 2
-        with_b = region_vertex_count(sq, n, k, include_boundary=True)
-        without = region_vertex_count(sq, n, k, include_boundary=False)
-        assert with_b > without
-        assert with_b == brute_lattice_count(corners, n, k, True)
-        assert without == brute_lattice_count(corners, n, k, False)
+        closed = region_vertex_count(sq, n, k)
+        assert closed == brute_lattice_count(corners, n, k, True)
+        assert closed > brute_lattice_count(corners, n, k, False)
 
     def test_matches_brute_on_random_hulls(self):
         rng = random.Random(31)

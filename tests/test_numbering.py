@@ -280,8 +280,8 @@ class TestBandwidthEvaluation:
 @given(st.data())
 def test_property_bandwidth_table_vs_scan(data):
     n = data.draw(st.integers(min_value=2, max_value=12))
-    k = data.draw(st.integers(min_value=2, max_value=min(4, n + 1)))
-    b = data.draw(st.integers(min_value=k - 1, max_value=n))
+    k = data.draw(st.integers(min_value=1, max_value=min(4, n + 1)))
+    b = data.draw(st.integers(min_value=max(1, k - 1), max_value=n))
     p = Params(n=n, k=k, b=b)
     verts = list(enumerate_vertices(p))
     perm = data.draw(st.permutations(verts))

@@ -17,14 +17,9 @@ from bandgraph.core_graph import (
     enumerate_vertices,
     vertex_count_formula,
 )
-from bandgraph.hypergraph import CapacityError, SimpleGraph
+from bandgraph.hypergraph import CapacityError, SimpleGraph, band_graph_as_simple_graph
 from bandgraph.numbering import bandwidth_of_numbering
-from bandgraph.solver import (
-    band_graph_as_simple_graph,
-    certify,
-    exact_bandwidth,
-    exact_bandwidth_with_witness,
-)
+from bandgraph.solver import certify, exact_bandwidth, exact_bandwidth_with_witness
 
 
 def brute_exact_bandwidth(g: SimpleGraph) -> int:
