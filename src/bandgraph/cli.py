@@ -20,7 +20,6 @@ from pathlib import Path
 from .bounds import (
     asymptotic_coefficient_interval,
     beta_decomposition,
-    central_lower_bound,
     coefficients,
     density_lower_bound,
     exact_bandwidth_large_b,
@@ -42,6 +41,7 @@ from .numbering import (
     low_remainder_numbering,
     mirror_numbering,
 )
+from .solver import certify
 from .suites import run_suite, suite_names
 
 __all__ = ["main"]
@@ -73,6 +73,12 @@ NUMBERINGS = {
 }
 
 
+# Size guard on what evaluating one numbering holds in memory: the
+# evaluator's table cells, or the vertices of lex and mirror; larger
+# instances are refused instead of exhausting memory.
+MAX_VERTICES = 2_000_000
+
+
 class ConfigError(ValueError):
     """Sweep configuration is malformed or inconsistent."""
 
@@ -98,19 +104,13 @@ def cmd_info(args: argparse.Namespace) -> int:
         out.append("  edgeless graph (b = k-1): bandwidth 0, no distance structure")
     else:
         out.append(f"  diameter = {diameter(p)}")
-        lower = density_lower_bound(p)
-        if central_count(p) > 0:
-            lower = max(lower, central_lower_bound(p))
-        upper = lex_upper_bound_value(p)
         out.append(f"  density lower bound = {density_lower_bound(p)}")
-        out.append(f"  lex upper bound = {upper}")
+        out.append(f"  lex upper bound = {lex_upper_bound_value(p)}")
         if central_count(p) > 0:
             exact = exact_bandwidth_large_b(p)
             out.append(f"  exact bandwidth (central set nonempty) = {exact}")
-        elif lower == upper:
-            out.append(f"  bounds meet: exact bandwidth = {lower}")
         else:
-            out.append(f"  bandwidth in [{lower}, {upper}]")
+            out.append(f"  {_bracket(p)}")
     beta = Fraction(p.b, p.n)
     out.append(f"  beta = b/n = {beta}")
     if 2 * p.b <= p.n and p.k >= 2:
@@ -130,6 +130,24 @@ def cmd_info(args: argparse.Namespace) -> int:
         )
     print("\n".join(out))
     return 0
+
+
+def _bracket(p: Params) -> str:
+    """The bandwidth bracket of ``certify`` and its witness; the
+    closed-form density and lex bounds where certify cannot run: above
+    the size cap (it lists every vertex for lex and mirror), or when it
+    refuses the band numbering (n too large for int64 keys)."""
+    lower, upper, source = density_lower_bound(p), lex_upper_bound_value(p), "closed forms"
+    if _evaluation_size(p, "lex")[0] <= MAX_VERTICES:
+        try:
+            c = certify(p)
+        except ValueError:
+            pass
+        else:
+            lower, upper, source = c.lower, c.upper, f"witness: {c.method}"
+    if lower == upper:
+        return f"bounds meet: exact bandwidth = {lower} ({source})"
+    return f"bandwidth in [{lower}, {upper}] ({source})"
 
 
 # ── sweep ─────────────────────────────────────────────────────────────
@@ -272,12 +290,25 @@ def sweep_row(k: int, n: int, b: int, method: str) -> dict[str, str]:
         row["lower_coeff"], row["upper_coeff"] = _fmt12(lo_c), _fmt12(up_c)
     try:
         p = Params(n=n, k=k, b=b)
+        size, unit = _evaluation_size(p, method)
+        if size > MAX_VERTICES:
+            raise ValueError(f"{size} {unit} exceed the cap {MAX_VERTICES} for {method}")
         bw = bandwidth_of_numbering(NUMBERINGS[method](p))
         row["bandwidth"] = str(bw)
         row["ratio"] = _fmt12(Fraction(bw, n**k))
     except ValueError as e:
         row["error"] = str(e)
     return row
+
+
+def _evaluation_size(p: Params, method: str) -> tuple[int, str]:
+    """What evaluating one numbering holds at once, with its unit: the
+    evaluator's (n+1)·(min(2b, n)+1) table cells, one for each span class
+    and more, or the vertex list of lex and mirror where that is larger."""
+    cells = (p.n + 1) * (min(2 * p.b, p.n) + 1)
+    if method in ("lex", "mirror") and vertex_count_formula(p) > cells:
+        return vertex_count_formula(p), "vertices"
+    return cells, "table cells"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

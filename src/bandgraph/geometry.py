@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BetaDecomposition, Coefficients, beta_decomposition, coefficients
+from .bounds import BetaDecomposition, beta_decomposition, coefficients
 from .core_graph import class_size
 
 __all__ = [

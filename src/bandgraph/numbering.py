@@ -16,15 +16,21 @@ Four constructions are provided:
   Their bandwidths track the asymptotic coefficients c1 (low) and
   c2+c3 (high) times n^k.
 
-All geometric classifications and comparisons are exact: a vertex X
-maps to the integer point (min(X), max(X)) and every block test is an
-integer inequality; within-block sort keys are integers or Fractions.
+Lex, mirror and custom numberings are explicit vertex orders.  The band
+numberings place a vertex X by the integer point (min(X), max(X)) alone,
+so they order the O(n·b) span classes and give each class a block of
+consecutive labels, its vertices in lex order; their vertex order is
+listed only on demand.  Every block test is an integer inequality,
+solved in closed form for all classes at once.  A within-block position
+is an integer or a rational num/den with 0 < den <= n; two distinct such
+rationals differ by at least 1/n², so the integer floor(num·n²/den)
+orders them exactly.
 
 ``bandwidth_of_numbering`` evaluates max |f(u)-f(v)| over edges without
 enumerating edges: vertices sharing (min, max) form a span class, all
 adjacencies are determined at class level, and the adjacent-class
-rectangle {lo2 >= hi1-b, hi2 <= lo1+b} is queried through 2D running
-maxima over the (lo, hi) grid.
+rectangle {lo2 >= hi1-b, hi2 <= lo1+b} is queried through running
+maxima over a band of the (lo, hi) grid.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -40,9 +47,9 @@ from .core_graph import (
     Params,
     Vertex,
     are_adjacent,
+    class_size,
     enumerate_vertices,
     is_central,
-    is_vertex,
     vertex_count_formula,
 )
 
@@ -59,26 +66,60 @@ __all__ = [
     "bandwidth_by_edge_scan",
 ]
 
+# Labels and class sizes are int64; a graph needs fewer vertices than this.
+MAX_LABELED_VERTICES = 2**62
 
-@dataclass(frozen=True)
+
 class Numbering:
-    """A proper numbering: order[i] carries label i+1 (labels 1..|V|)."""
+    """A proper numbering of G(n, k, b) with labels 1..|V|.
 
-    params: Params
-    tag: str
-    order: tuple[Vertex, ...]
+    Built from an explicit vertex order (``order[i]`` carries label i+1),
+    or from ``classes=(lo, hi)``, the span classes in label order: each
+    class takes the next ``class_size`` labels, its vertices in lex
+    order, and ``order`` is listed on first use.
+    """
 
-    def __post_init__(self) -> None:
-        expected = vertex_count_formula(self.params)
-        if len(self.order) != expected:
-            raise ValueError(
-                f"numbering has {len(self.order)} entries, graph has {expected} vertices"
-            )
-        if len(set(self.order)) != expected:
-            raise ValueError("numbering repeats a vertex")
-        for v in self.order:
-            if not is_vertex(v, self.params):
-                raise ValueError(f"{v} is not a vertex of G{self.params}")
+    def __init__(self, params: Params, tag: str, order=None, *, classes=None) -> None:
+        if (order is None) == (classes is None):
+            raise TypeError("give exactly one of order and classes")
+        self.params = params
+        self.tag = tag
+        if classes is None:
+            self._order: tuple[Vertex, ...] | None = tuple(order)
+            self._ends = _check_order(self._order, params)
+            self._size = len(self._order)
+            self._class_labels = None
+        else:
+            lo, hi = (np.asarray(a, dtype=np.int64) for a in classes)
+            sizes = _check_classes(lo, hi, params)
+            last = np.cumsum(sizes)
+            self._order = None
+            self._size = vertex_count_formula(params)
+            self._class_labels = (lo, hi, last - sizes + 1, last)
+
+    @property
+    def order(self) -> tuple[Vertex, ...]:
+        if self._order is None:
+            lo, hi = self._class_labels[:2]
+            self._order = tuple(_class_vertices(lo.tolist(), hi.tolist(), self.params.k))
+        return self._order
+
+    def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, min label, max label) of every span class."""
+        if self._class_labels is None:
+            p, m = self.params, self._size
+            width = p.b + 1
+            lo, hi = self._ends.T
+            cell = lo * width + (hi - lo)
+            labels = np.arange(1, m + 1, dtype=np.int64)
+            top = np.zeros((p.n + 1) * width, dtype=np.int64)
+            bottom = np.full_like(top, m + 1)
+            np.maximum.at(top, cell, labels)
+            np.minimum.at(bottom, cell, labels)
+            occ = np.flatnonzero(top)
+            lo = occ // width
+            self._class_labels = (lo, lo + occ % width, bottom[occ], top[occ])
+        return self._class_labels
 
     @cached_property
     def labels(self) -> dict[Vertex, int]:
@@ -88,15 +129,98 @@ class Numbering:
         return self.labels[v]
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self._size
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.tag, self.order) == (other.params, other.tag, other.order)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.tag, self.order))
+
+    def __repr__(self) -> str:
+        return f"Numbering(params={self.params}, tag={self.tag!r}, |V|={self._size})"
+
+
+def _check_order(order: tuple, p: Params) -> np.ndarray:
+    """Check that ``order`` lists every vertex once; return (min, max) of
+    each entry, shape (|V|, 2)."""
+    m, k = len(order), p.k
+    expected = vertex_count_formula(p)
+    if m != expected:
+        raise ValueError(f"numbering has {m} entries, graph has {expected} vertices")
+    if len(set(order)) != expected:
+        raise ValueError("numbering repeats a vertex")
+    # The entries before the first one of another length than k, or with an
+    # element outside int64 (never a vertex), form an array.
+    (wrong,) = np.nonzero(np.fromiter(map(len, order), dtype=np.int64, count=m) != k)
+    stop = int(wrong[0]) if wrong.size else m
+    try:
+        rows = _int64_rows(order[:stop], k)
+    except OverflowError:
+        stop = next(i for i, v in enumerate(order) if not all(map(_fits_int64, v)))
+        rows = _int64_rows(order[:stop], k)
+    lo, hi = rows[:, 0], rows[:, -1]
+    bad = (lo < 0) | (hi > p.n) | (hi - lo > p.b) | (np.diff(rows, axis=1) <= 0).any(axis=1)
+    (bad_at,) = np.nonzero(bad)
+    if bad_at.size or stop < m:
+        v = order[int(bad_at[0]) if bad_at.size else stop]
+        raise ValueError(f"{v} is not a vertex of G{p}")
+    return rows[:, [0, -1]]
+
+
+def _int64_rows(entries: tuple, k: int) -> np.ndarray:
+    flat = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=len(entries) * k)
+    return flat.reshape(len(entries), k)
+
+
+def _fits_int64(x: int) -> bool:
+    return -(2**63) <= x < 2**63
+
+
+def _class_sizes(p: Params) -> np.ndarray:
+    """class_size of a class of span d, for d = 0..b."""
+    return np.array([class_size(0, d, p.k) for d in range(p.b + 1)], dtype=np.int64)
+
+
+def _check_classes(lo: np.ndarray, hi: np.ndarray, p: Params) -> np.ndarray:
+    """Check that (lo, hi) lists every span class once; return the sizes."""
+    total = vertex_count_formula(p)
+    if total >= MAX_LABELED_VERTICES:
+        raise ValueError(f"G{p} has {total} vertices; int64 labels need fewer than 2^62")
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("classes must be two 1-d arrays of equal length")
+    span = hi - lo
+    if ((lo < 0) | (hi > p.n) | (span < 0) | (span > p.b)).any():
+        raise ValueError(f"a class lies outside 0 <= lo <= hi <= n, hi - lo <= b of G{p}")
+    sizes = _class_sizes(p)[span]
+    if (sizes == 0).any():
+        raise ValueError(f"a class of G{p} holds no vertex")
+    if lo.size and np.bincount(lo * (p.b + 1) + span).max() > 1:
+        raise ValueError("numbering repeats a span class")
+    if int(sizes.sum()) != total:
+        raise ValueError(f"classes hold {int(sizes.sum())} vertices, graph has {total}")
+    return sizes
+
+
+def _class_vertices(los: list[int], his: list[int], k: int):
+    """The vertices of each class (lo, hi) in turn, each class in lex order."""
+    if k == 1:
+        return ((lo,) for lo in los)
+    return (
+        (lo, *mid, hi)
+        for lo, hi in zip(los, his)
+        for mid in combinations(range(lo + 1, hi), k - 2)
+    )
 
 
 def custom_numbering(p: Params, order) -> Numbering:
-    return Numbering(params=p, tag="custom", order=tuple(map(tuple, order)))
+    return Numbering(p, "custom", tuple(map(tuple, order)))
 
 
 def lex_numbering(p: Params) -> Numbering:
-    return Numbering(params=p, tag="lex", order=tuple(enumerate_vertices(p)))
+    return Numbering(p, "lex", tuple(enumerate_vertices(p)))
 
 
 # ── mirror numbering ──────────────────────────────────────────────────
@@ -146,7 +270,7 @@ def mirror_numbering(p: Params) -> Numbering:
     block is nonempty and the bandwidth equals ceil((|V|+|C|-2)/2),
     which is optimal; the construction itself is valid for every p."""
     part = mirror_partition(p)
-    return Numbering(params=p, tag="mirror", order=part.r0 + part.central + part.r1)
+    return Numbering(p, "mirror", part.r0 + part.central + part.r1)
 
 
 # ── band-decomposition numberings ─────────────────────────────────────
@@ -174,33 +298,43 @@ def _band_scale(p: Params) -> _BandScale:
         raise ValueError(
             f"band numbering needs b/n <= 1/2, got {p.b}/{p.n}"
         )
+    if 2 * p.n**4 >= 2**63:
+        raise ValueError(f"band numbering keys need 2n^4 < 2^63 (int64), got n = {p.n}")
     dec = beta_decomposition(Fraction(p.b, p.n))
     R = p.n - dec.q * p.b
     return _BandScale(n=p.n, b=p.b, q=dec.q, R=R, S=p.b - R, regime=dec.regime)
 
 
-def _strip_block(x: int, y: int, sc: _BandScale) -> tuple[str, int]:
-    """Assign the point (x, y) to its strip: ("quad", i) or ("tri", i).
+def _span_class_arrays(p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, d = hi - lo) of every nonempty span class."""
+    spans = np.arange(p.k - 1, p.b + 1 if p.k > 1 else 1, dtype=np.int64)
+    counts = p.n + 1 - spans
+    d = np.repeat(spans, counts)
+    lo = np.arange(d.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return lo, d
+
+
+def _strip_blocks(x: np.ndarray, d: np.ndarray, sc: _BandScale):
+    """Strip of each point (x, x+d): (is a triangle, index i).
 
     The i-th quadrangle strip is q*i*b <= M_i < q*(i*b + R) with
-    M_i = q*x + i*(y-x) (the last strip keeps its right boundary), and
-    the i-th triangle sits between strip i-1 and strip i.  Scanning in
-    ordinal order makes the earlier-block conditions implicit, so each
-    point lands in exactly one block.
+    M_i = q*x + i*d (the last strip keeps its right boundary), and the
+    i-th triangle sits between strip i-1 and strip i; the blocks are
+    taken in ordinal order, so each point lands in the first whose
+    condition it meets.  With D = q*b - d > 0 the conditions read
+    i*D > q*(x - R) for strip i and i*D > q*x for triangle i >= 1.  The
+    strip condition holds first (R >= 0), at i = q*(x-R)//D + 1 (capped
+    to 0..q), and the point is in triangle i exactly when that i already
+    meets the triangle condition.
     """
-    q, b, R = sc.q, sc.b, sc.R
-    d = y - x
-    for i in range(q + 1):
-        m_i = q * x + i * d
-        if i >= 1 and m_i < q * i * b:
-            return ("tri", i)
-        if i == q or m_i < q * (i * b + R):
-            return ("quad", i)
-    raise AssertionError("strip scan is total")
+    q = sc.q
+    D = q * sc.b - d
+    i = np.clip((q * (x - sc.R)) // D + 1, 0, q)
+    return (i >= 1) & (i * D > q * x), i
 
 
-def _tri_key(x: int, y: int, i: int, sc: _BandScale) -> tuple:
-    """Fan order of the i-th apex triangle.
+def _tri_position(x: np.ndarray, d: np.ndarray, i: np.ndarray, sc: _BandScale):
+    """Fan position of the points in the i-th apex triangle, as (num, den).
 
     The apex A_i = (i*R, i*R + q*S) looks down at the diagonal; rays
     from it sweep the triangle from its left edge to its right edge.
@@ -211,33 +345,47 @@ def _tri_key(x: int, y: int, i: int, sc: _BandScale) -> tuple:
     denominator is positive: triangle points stay strictly below the
     apex level d = q*S.
     """
-    d = y - x
-    return (Fraction(sc.q * sc.S * x - i * sc.R * d, sc.q * sc.S - d), d)
+    qS = sc.q * sc.S
+    return qS * x - i * sc.R * d, qS - d
+
+
+def _exact_position(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
+    """floor(num·n²/den), in the order of num/den when 0 < den <= n.
+
+    Two distinct such rationals differ by at least 1/n², so their scaled
+    values differ by at least 1 and keep their order after the floor.
+    Exact in int64 for |num| <= 2n² (``_band_scale`` refuses 2n⁴ >= 2⁶³).
+    """
+    assert (den > 0).all() and (den <= n).all()
+    return (num * (n * n)) // den
+
+
+def _band_numbering(p: Params, tag: str, lo, d, block, num, den) -> Numbering:
+    """Order the classes by (block, num/den, d) and label them in turn.
+
+    Distinct classes never tie: within a block and a span d, the
+    position is strictly increasing in lo.
+    """
+    perm = np.lexsort((d, _exact_position(num, den, p.n), block))
+    return Numbering(p, tag, classes=(lo[perm], lo[perm] + d[perm]))
 
 
 def low_remainder_numbering(p: Params) -> Numbering:
     """Band-decomposition order for the low-remainder regime: quadrangle
     strip 0, triangle 1, strip 1, ..., triangle q, strip q.  Strips are
-    ordered by (M_i, y-x, tuple), triangles by the apex-fan key."""
+    ordered by (M_i, y-x), triangles by the apex-fan key; each class's
+    vertices follow in lex order."""
     sc = _band_scale(p)
     if sc.regime != "low":
         raise ValueError(
             f"b/n = {p.b}/{p.n} has a high remainder; use high_remainder_numbering"
         )
-    q = sc.q
-    keyed = []
-    for v in enumerate_vertices(p):
-        x, y = v[0], v[-1]
-        d = y - x
-        kind, i = _strip_block(x, y, sc)
-        if kind == "quad":
-            key = (2 * i, q * x + i * d, d, v)
-        else:
-            pos, dd = _tri_key(x, y, i, sc)
-            key = (2 * i - 1, pos, dd, v)
-        keyed.append(key)
-    keyed.sort()
-    return Numbering(params=p, tag="low_remainder", order=tuple(k[-1] for k in keyed))
+    x, d = _span_class_arrays(p)
+    tri, i = _strip_blocks(x, d, sc)
+    tri_num, tri_den = _tri_position(x, d, i, sc)
+    num = np.where(tri, tri_num, sc.q * x + i * d)
+    den = np.where(tri, tri_den, 1)
+    return _band_numbering(p, "low_remainder", x, d, 2 * i - tri, num, den)
 
 
 def high_remainder_numbering(p: Params) -> Numbering:
@@ -263,30 +411,17 @@ def high_remainder_numbering(p: Params) -> Numbering:
         )
     q, n = sc.q, sc.n
     qS = q * sc.S
-    keyed = []
-    for v in enumerate_vertices(p):
-        x, y = v[0], v[-1]
-        d = y - x
-        if d > qS:
-            # sector about I: the sector index is the first i with P
-            # clockwise of the ray I -> A_{i+1}; the test value
-            # (q-i)*x + (i+1)*(y-n) decreases in i, so scan ascending.
-            sector = q
-            for i in range(q):
-                if (q - i) * x + (i + 1) * (y - n) < 0:
-                    sector = i
-                    break
-            key = (2 * sector, Fraction(x * (n - qS), n - d), d, v)
-        else:
-            kind, i = _strip_block(x, y, sc)
-            if kind == "quad":
-                key = (2 * i, Fraction(q * x + i * d - i * qS, q), d, v)
-            else:
-                pos, dd = _tri_key(x, y, i, sc)
-                key = (2 * i - 1, pos, dd, v)
-        keyed.append(key)
-    keyed.sort()
-    return Numbering(params=p, tag="high_remainder", order=tuple(k[-1] for k in keyed))
+    x, d = _span_class_arrays(p)
+    tri, i = _strip_blocks(x, d, sc)
+    tri_num, tri_den = _tri_position(x, d, i, sc)
+    # The upper half's sector is the first i with P clockwise of the ray
+    # I -> A_{i+1}: (q-i)*x + (i+1)*(y-n) < 0, i.e. i*(n-d) > q*x + y - n.
+    upper = d > qS
+    sector = np.clip((q * x + x + d - n) // (n - d) + 1, 0, q)
+    block = np.where(upper, 2 * sector, 2 * i - tri)
+    num = np.where(upper, x * (n - qS), np.where(tri, tri_num, q * x + i * d - i * qS))
+    den = np.where(upper, n - d, np.where(tri, tri_den, q))
+    return _band_numbering(p, "high_remainder", x, d, block, num, den)
 
 
 # ── bandwidth evaluation ──────────────────────────────────────────────
@@ -322,26 +457,24 @@ def bandwidth_of_numbering(f: Numbering) -> int:
     contains c1 itself, which also accounts for intra-class edges
     (same-class vertices are always adjacent); a singleton class only
     contributes its own 0.  Exact for every k: at k = 1 each class is a
-    singleton (lo, lo).  Runs in O(|V| + n^2).
+    singleton (lo, lo).
+
+    A query rectangle lo >= a, hi <= c has width c - a <= min(2b, n), so
+    the table is kept in (c, c - a) layout: (n+1)·(min(2b, n)+1) cells.
+    Runs in O(classes + n·b) after the per-class labels.
     """
     p = f.params
     n, b = p.n, p.b
-    m = len(f.order)
-    los = np.fromiter((v[0] for v in f.order), dtype=np.int64, count=m)
-    his = np.fromiter((v[-1] for v in f.order), dtype=np.int64, count=m)
-    labels = np.arange(1, m + 1, dtype=np.int64)
-
-    max_label = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    min_label = np.full((n + 1, n + 1), m + 1, dtype=np.int64)
-    np.maximum.at(max_label, (los, his), labels)
-    np.minimum.at(min_label, (los, his), labels)
-
-    # table[a, c] = max label over classes with lo >= a and hi <= c
-    table = np.maximum.accumulate(max_label[::-1, :], axis=0)[::-1, :]
-    table = np.maximum.accumulate(table, axis=1)
-
-    occ_lo, occ_hi = np.nonzero(max_label >= 0)
-    rows = np.maximum(occ_hi - b, 0)
-    cols = np.minimum(occ_lo + b, n)
-    spreads = table[rows, cols] - min_label[occ_lo, occ_hi]
-    return max(int(spreads.max()), 0)
+    lo, hi, first, last = f.class_labels()
+    width = min(2 * b, n)
+    # top[a, w] = max label over classes with lo = a, hi <= a + w
+    top = np.zeros((n + 1, width + 1), dtype=np.int64)
+    top[lo, hi - lo] = last
+    np.maximum.accumulate(top, axis=1, out=top)
+    # table[c, w] = max label over classes with lo >= c - w, hi <= c
+    c, w = np.ogrid[: n + 1, : width + 1]
+    table = np.where(c >= w, top[np.maximum(c - w, 0), w], 0)
+    np.maximum.accumulate(table, axis=1, out=table)
+    cols = np.minimum(lo + b, n)
+    rows = np.maximum(hi - b, 0)
+    return int((table[cols, cols - rows] - first).max())

@@ -207,6 +207,7 @@ def certify(p: Params, run_exact: bool = False, cap: int = DEFAULT_CAP) -> Certi
             )
         graph, verts = band_graph_as_simple_graph(p)
         value, placement = exact_bandwidth_with_witness(graph, cap=cap)
+        assert lower <= value <= upper, f"exact bandwidth {value} outside [{lower}, {upper}]"
         exact_value = value
         if value < upper:
             upper = value

@@ -23,7 +23,6 @@ import numpy as np
 from .bounds import (
     asymptotic_coefficient_interval,
     beta_decomposition,
-    central_lower_bound,
     coefficients,
     density_lower_bound,
     exact_bandwidth_large_b,
@@ -32,7 +31,6 @@ from .bounds import (
 )
 from .core_graph import (
     Params,
-    central_count,
     class_size,
     diameter,
     distance_upper_bound,
@@ -40,7 +38,6 @@ from .core_graph import (
     vertex_count_formula,
 )
 from .geometry import (
-    Polygon,
     band_polygon,
     omega_polygon,
     polygon_measure,

@@ -4,10 +4,15 @@ Output rows are pinned byte-for-byte where the contract promises
 deterministic CSV; everything else checks substrings and exit codes.
 """
 
+import time
+
 import pytest
 
+import bandgraph.cli
 import bandgraph.suites
-from bandgraph.cli import CSV_COLUMNS, main
+from bandgraph.bounds import density_lower_bound, lex_upper_bound_value
+from bandgraph.cli import CSV_COLUMNS, main, sweep_row
+from bandgraph.core_graph import Params
 from bandgraph.suites import Check, SuiteResult
 
 HEADER = "n,k,b,beta,q,r,case,method,bandwidth,ratio,c1,c2,c3,lower_coeff,upper_coeff,error"
@@ -27,6 +32,32 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "density lower bound = 6" in out
         assert "lex upper bound = 6" in out
+
+    def test_bracket_from_certify(self, capsys):
+        # the lex bound alone gives [48, 72]; low remainder reaches 60
+        assert main(["info", "--n", "20", "--k", "2", "--b", "9"]) == 0
+        out = capsys.readouterr().out
+        assert "  bandwidth in [48, 60] (witness: low_remainder)\n" in out
+
+    def test_bracket_above_vertex_cap_uses_closed_forms(self, capsys, monkeypatch):
+        monkeypatch.setattr(bandgraph.cli, "MAX_VERTICES", 100)
+        assert main(["info", "--n", "20", "--k", "2", "--b", "9"]) == 0
+        out = capsys.readouterr().out
+        assert "  bandwidth in [48, 72] (closed forms)\n" in out
+
+    def test_bracket_when_band_keys_exceed_int64(self, capsys):
+        # n = 50000 has 2n^4 >= 2^63: certify refuses the band numbering
+        assert main(["info", "--n", "50000", "--k", "2", "--b", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "  bounds meet: exact bandwidth = 6 (closed forms)\n" in out
+
+    def test_bracket_above_table_cap_at_k1(self, capsys):
+        # 40001 vertices, but the evaluator's table has 40001 * 39999 cells
+        start = time.perf_counter()
+        assert main(["info", "--n", "40000", "--k", "1", "--b", "19999"]) == 0
+        assert time.perf_counter() - start < 5
+        out = capsys.readouterr().out
+        assert "  bandwidth in [13334, 19999] (closed forms)\n" in out
 
     def test_band_regime_shown(self, capsys):
         assert main(["info", "--n", "20", "--k", "2", "--b", "7"]) == 0
@@ -140,6 +171,38 @@ class TestSweep:
         assert "low remainder" in bad  # error text, bandwidth empty
         assert bad.split(",")[8] == ""
         assert good.split(",")[8] == "60"
+
+    def test_size_guard_refuses_explicit_orders(self, capsys):
+        # 666166500 vertices: refused from the closed-form count at once
+        start = time.perf_counter()
+        assert main(["sweep", "--k", "3", "--n", "2000", "--b", "1000", "--method", "lex,mirror"]) == 0
+        assert time.perf_counter() - start < 5
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row, method in zip(rows, ("lex", "mirror")):
+            assert row.endswith(f",666166500 vertices exceed the cap 2000000 for {method}")
+
+    def test_size_guard_counts_table_cells_at_k1(self, capsys):
+        # 200001 vertices, but the evaluator's table has 200001² cells
+        start = time.perf_counter()
+        argv = ["sweep", "--k", "1", "--n", "200000", "--b", "100000", "--method", "lex"]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 5
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row.endswith(",40000400001 table cells exceed the cap 2000000 for lex")
+
+    def test_size_guard_counts_table_cells_for_band_rows(self, monkeypatch):
+        monkeypatch.setattr(bandgraph.cli, "MAX_VERTICES", 100)
+        row = sweep_row(2, 50, 5, "low_remainder")  # 240 classes in 51 * 11 cells
+        assert row["error"] == "561 table cells exceed the cap 100 for low_remainder"
+        assert row["bandwidth"] == ""
+
+    def test_k3_band_row_at_n_1000(self):
+        # about 36M vertices but 254k span classes
+        row = sweep_row(3, 1000, 300, "low_remainder")
+        assert row["error"] == ""
+        p = Params(n=1000, k=3, b=300)
+        assert density_lower_bound(p) <= int(row["bandwidth"]) <= lex_upper_bound_value(p)
 
     def test_pairs_mode(self, capsys):
         argv = ["sweep", "--k", "2", "--pairs", "10:3,20:7", "--method", "lex"]

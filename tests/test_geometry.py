@@ -5,16 +5,13 @@ area), closed-form measures of axis-aligned shapes, and brute-force
 lattice enumeration for region_vertex_count.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bandgraph.bounds import beta_decomposition, coefficients
+from bandgraph.bounds import beta_decomposition
 from bandgraph.core_graph import Params, class_size, vertex_count_formula
 from bandgraph.geometry import (
     GeometryError,

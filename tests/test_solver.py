@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import bandgraph.solver
 from bandgraph.bounds import exact_bandwidth_large_b
 from bandgraph.core_graph import (
     Params,
@@ -163,6 +164,20 @@ class TestCertify:
         assert cert.exact_value == 10
         assert cert.value == 10
         assert exact_bandwidth_large_b(Params(n=6, k=2, b=4)) == 10
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_run_exact_outside_bracket_asserts(self, shift, monkeypatch):
+        # an exact value below the lower bound or above the best numbering
+        # contradicts the bracket; certify refuses to return it
+        p = Params(n=6, k=2, b=3)
+        bracket = certify(p)
+        value = bracket.lower - 1 if shift < 0 else bracket.upper + 1
+        found = exact_bandwidth_with_witness(band_graph_as_simple_graph(p)[0])[1]
+        monkeypatch.setattr(
+            bandgraph.solver, "exact_bandwidth_with_witness", lambda g, cap: (value, found)
+        )
+        with pytest.raises(AssertionError, match="outside"):
+            certify(p, run_exact=True)
 
     def test_run_exact_capacity(self):
         with pytest.raises(CapacityError):
