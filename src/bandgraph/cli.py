@@ -25,7 +25,7 @@ from .bounds import (
     exact_bandwidth_large_b,
     lex_upper_bound_value,
 )
-from .core_graph import Params, central_count, diameter, vertex_count_formula
+from .core_graph import Params, central_count, class_table_cells, diameter, vertex_count_formula
 from .hypergraph import (
     CapacityError,
     parse_hypergraph,
@@ -134,17 +134,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def _bracket(p: Params) -> str:
     """The bandwidth bracket of ``certify`` and its witness; the
-    closed-form density and lex bounds where certify cannot run: above
-    the size cap (it lists every vertex for lex and mirror), or when it
-    refuses the band numbering (n too large for int64 keys)."""
+    closed-form density and lex bounds above the size cap, where certify
+    would list too many vertices for lex and mirror."""
     lower, upper, source = density_lower_bound(p), lex_upper_bound_value(p), "closed forms"
     if _evaluation_size(p, "lex")[0] <= MAX_VERTICES:
-        try:
-            c = certify(p)
-        except ValueError:
-            pass
-        else:
-            lower, upper, source = c.lower, c.upper, f"witness: {c.method}"
+        c = certify(p)
+        lower, upper, source = c.lower, c.upper, f"witness: {c.method}"
     if lower == upper:
         return f"bounds meet: exact bandwidth = {lower} ({source})"
     return f"bandwidth in [{lower}, {upper}] ({source})"
@@ -305,7 +300,7 @@ def _evaluation_size(p: Params, method: str) -> tuple[int, str]:
     """What evaluating one numbering holds at once, with its unit: the
     evaluator's (n+1)·(min(2b, n)+1) table cells, one for each span class
     and more, or the vertex list of lex and mirror where that is larger."""
-    cells = (p.n + 1) * (min(2 * p.b, p.n) + 1)
+    cells = class_table_cells(p)
     if method in ("lex", "mirror") and vertex_count_formula(p) > cells:
         return vertex_count_formula(p), "vertices"
     return cells, "table cells"

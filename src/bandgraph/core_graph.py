@@ -13,23 +13,26 @@ sharing a (min, max) pair.  A class (i, j) holds C(j-i-1, k-2) vertices,
 any two vertices in adjacent classes are adjacent, and classes
 (i1, j1), (i2, j2) are adjacent iff max(j1, j2) - min(i1, i2) <= b.
 That quotient structure keeps distance and bandwidth computations
-polynomial in n instead of in the (huge) vertex count.
+polynomial in n instead of in the (huge) vertex count: ``span_classes``
+lists the classes, ``adjacent_class_max`` takes a maximum over the
+classes adjacent to each class, and ``class_distances`` is the BFS built
+on that query.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
+
+import numpy as np
 
 Vertex = tuple[int, ...]  # strictly increasing elements of [0, n]
 
 __all__ = [
     "Params",
     "Vertex",
-    "SpanClass",
     "comb0",
     "enumerate_vertices",
     "vertex_count_formula",
@@ -43,6 +46,9 @@ __all__ = [
     "diameter",
     "span_classes",
     "class_size",
+    "class_table_cells",
+    "adjacent_class_max",
+    "class_distances",
 ]
 
 
@@ -57,9 +63,8 @@ def comb0(a: int, c: int) -> int:
 class Params:
     """Parameters (n, k, b) of the graph G(n, k, b).
 
-    Requires 1 <= k <= b + 1 and 1 <= b <= n.  k = 1 is allowed (every
-    singleton has span 0); the class-based fast paths need k >= 2 and
-    the corresponding functions say so.
+    Requires 1 <= k <= b + 1 and 1 <= b <= n.  k = 1 is allowed: every
+    singleton has span 0 and forms a class (lo, lo) of its own.
     """
 
     n: int
@@ -74,13 +79,6 @@ class Params:
             raise ValueError(f"b must be >= max(1, k-1) = {max(1, k - 1)}, got {b}")
         if n < b:
             raise ValueError(f"n must be >= b, got n={n}, b={b}")
-
-
-class SpanClass(NamedTuple):
-    """All vertices sharing (min, max) = (lo, hi)."""
-
-    lo: int
-    hi: int
 
 
 def class_size(lo: int, hi: int, k: int) -> int:
@@ -158,6 +156,82 @@ def is_central(x: Vertex, p: Params) -> bool:
     return p.n - p.b <= x[0] and x[-1] <= p.b
 
 
+# ── the span-class quotient ───────────────────────────────────────────
+
+
+def span_classes(p: Params) -> np.ndarray:
+    """Every nonempty (lo, hi) class, as int64 rows of shape (m, 2),
+    ordered by span hi - lo, then by lo.
+
+    The spans run over k-1..b (only 0 at k = 1), each with the n+1-span
+    starts lo = 0..n-span.  The rows are the transpose of a contiguous
+    (2, m) buffer, so ``lo, hi = span_classes(p).T`` copies nothing.
+    """
+    n, k, b = p.n, p.k, p.b
+    spans = np.arange(k - 1, b + 1 if k > 1 else 1, dtype=np.int64)
+    counts = n + 1 - spans
+    out = np.empty((2, int(counts.sum())), dtype=np.int64)
+    lo, hi = out
+    np.subtract(np.arange(lo.size), np.repeat(np.cumsum(counts) - counts, counts), out=lo)
+    np.add(lo, np.repeat(spans, counts), out=hi)
+    return out.T
+
+
+def _table_width(p: Params) -> int:
+    # An adjacency rectangle lo >= a, hi <= c has c - a <= min(2b, n).
+    return min(2 * p.b, p.n)
+
+
+def class_table_cells(p: Params) -> int:
+    """Cells of the table ``adjacent_class_max`` builds: (n+1)·(min(2b, n)+1)."""
+    return (p.n + 1) * (_table_width(p) + 1)
+
+
+def adjacent_class_max(
+    p: Params, lo: np.ndarray, hi: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """For each class (lo, hi), the maximum of the non-negative ``values``
+    over the classes adjacent to it, itself included.
+
+    The classes adjacent to (lo1, hi1) fill the rectangle
+    lo2 >= hi1 - b, hi2 <= lo1 + b.  Running maxima over the (lo, hi)
+    grid answer each rectangle in O(1); the table is kept in (c, c - a)
+    layout, (n+1)·(min(2b, n)+1) cells, so a query costs O(classes + n·b).
+    """
+    n, b, width = p.n, p.b, _table_width(p)
+    # top[a, w] = max value over classes with lo = a, hi <= a + w
+    top = np.zeros((n + 1, width + 1), dtype=np.int64)
+    top[lo, hi - lo] = values
+    np.maximum.accumulate(top, axis=1, out=top)
+    # table[c, w] = max value over classes with lo >= c - w, hi <= c
+    c, w = np.arange(n + 1)[:, None], np.arange(width + 1)
+    table = np.where(c >= w, top[np.maximum(c - w, 0), w], 0)
+    np.maximum.accumulate(table, axis=1, out=table)
+    cols = np.minimum(lo + b, n)
+    return table[cols, cols - np.maximum(hi - b, 0)]
+
+
+def class_distances(p: Params, source: tuple[int, int]) -> np.ndarray:
+    """BFS layer of every class of ``span_classes(p)``, in that order,
+    from the class ``source`` = (lo, hi); -1 where unreachable.
+
+    Each layer is one ``adjacent_class_max`` of the frontier's 0/1
+    indicator, O(n·b).  Distances are between distinct vertices, so the
+    source class reads 0.
+    """
+    lo, hi = span_classes(p).T
+    frontier = (lo == source[0]) & (hi == source[1])
+    if not frontier.any():
+        raise ValueError(f"{source} is not a class of G{p}")
+    dist = np.where(frontier, 0, -1)
+    layer = 0
+    while frontier.any():
+        layer += 1
+        frontier = (adjacent_class_max(p, lo, hi, frontier.astype(np.int64)) > 0) & (dist < 0)
+        dist[frontier] = layer
+    return dist
+
+
 # ── distances ─────────────────────────────────────────────────────────
 
 
@@ -202,67 +276,28 @@ def distance_upper_bound(x: Vertex, y: Vertex, p: Params) -> int:
     return -(gap // -step) + 1
 
 
-def span_classes(p: Params) -> list[SpanClass]:
-    """All nonempty (lo, hi) classes, ascending.  Requires k >= 2."""
-    if p.k < 2:
-        raise ValueError("span classes need k >= 2; k = 1 uses enumeration paths")
-    n, k, b = p.n, p.k, p.b
-    out = []
-    for lo in range(n - k + 2):
-        for hi in range(lo + k - 1, min(lo + b, n) + 1):
-            out.append(SpanClass(lo, hi))
-    return out
-
-
-def _class_of(x: Vertex) -> SpanClass:
-    return SpanClass(x[0], x[-1])
-
-
-def _classes_adjacent(c1: SpanClass, c2: SpanClass, b: int) -> bool:
-    return max(c1.hi, c2.hi) - min(c1.lo, c2.lo) <= b
-
-
 def graph_distance_bfs(x: Vertex, y: Vertex, p: Params) -> int:
     """Exact shortest-path distance between two vertices.
 
-    Runs BFS on the span-class quotient: adjacency only depends on the
-    classes, and repeating a class on a shortest path never helps (any
-    neighbour of a class member is a neighbour of every member), so the
-    quotient BFS distance equals the vertex distance.  k = 1 vertices
-    are singleton classes, so the same walk applies with k-1 = 0.
+    Read from the BFS on the span-class quotient (``class_distances``):
+    adjacency only depends on the classes, and repeating a class on a
+    shortest path never helps (any neighbour of a class member is a
+    neighbour of every member), so the quotient BFS distance equals the
+    vertex distance.
     """
     if not (is_vertex(x, p) and is_vertex(y, p)):
         raise ValueError("both arguments must be vertices of G(n,k,b)")
     if x == y:
         return 0
-    b = p.b
-    cx, cy = _class_of(x), _class_of(y)
-    if _classes_adjacent(cx, cy, b):
+    if max(x[-1], y[-1]) - min(x[0], y[0]) <= p.b:
         return 1
-    if b == p.k - 1:
+    if p.b == p.k - 1:
         raise ValueError("graph is edgeless (b = k-1); vertices unreachable")
-    # BFS over classes; neighbours of (lo, hi) are the classes inside the
-    # dominance rectangle lo2 >= hi - b, hi2 <= lo + b.
-    n, k = p.n, p.k
-    dist = {cx: 0}
-    queue = deque([cx])
-    while queue:
-        c = queue.popleft()
-        d = dist[c]
-        for lo2 in range(max(0, c.hi - b), min(c.lo + b, n) + 1):
-            if k == 1:
-                hi2_range = range(lo2, lo2 + 1)
-            else:
-                hi2_range = range(lo2 + k - 1, min(c.lo + b, lo2 + b, n) + 1)
-            for hi2 in hi2_range:
-                c2 = SpanClass(lo2, hi2)
-                if c2 in dist:
-                    continue
-                dist[c2] = d + 1
-                if c2 == cy:
-                    return d + 1
-                queue.append(c2)
-    raise ValueError(f"vertices {x} and {y} are not connected")
+    lo, hi = span_classes(p).T
+    dist = int(class_distances(p, (x[0], x[-1]))[(lo == y[0]) & (hi == y[-1])][0])
+    if dist < 0:
+        raise ValueError(f"vertices {x} and {y} are not connected")
+    return dist
 
 
 def diameter(p: Params) -> int:

@@ -229,11 +229,12 @@ def weak_edge_clique_cover_number(h: Hypergraph, cap: int = 20) -> int:
     return _min_set_cover(m, masks)
 
 
-def check_cover_equivalence(h: Hypergraph, cap: int = 20) -> bool:
+def check_cover_equivalence(h: Hypergraph) -> bool:
     """Whether the weak-clique edge cover number of h equals the vertex
-    clique cover number of its weak edge clique graph."""
-    return weak_edge_clique_cover_number(h, cap=cap) == vertex_clique_cover_number(
-        weak_edge_clique_graph(h), cap=max(cap, len(h.edges))
+    clique cover number of its weak edge clique graph (one vertex per
+    edge of h, so both exact searches share the cap)."""
+    return weak_edge_clique_cover_number(h) == vertex_clique_cover_number(
+        weak_edge_clique_graph(h)
     )
 
 

@@ -22,15 +22,15 @@ so they order the O(n·b) span classes and give each class a block of
 consecutive labels, its vertices in lex order; their vertex order is
 listed only on demand.  Every block test is an integer inequality,
 solved in closed form for all classes at once.  A within-block position
-is an integer or a rational num/den with 0 < den <= n; two distinct such
-rationals differ by at least 1/n², so the integer floor(num·n²/den)
-orders them exactly.
+is an integer or a rational num/den in [0, n] with 0 < den <= n; two
+distinct such rationals differ by at least 1/n², so the integer
+floor(num·n²/den) orders them exactly.
 
 ``bandwidth_of_numbering`` evaluates max |f(u)-f(v)| over edges without
 enumerating edges: vertices sharing (min, max) form a span class, all
-adjacencies are determined at class level, and the adjacent-class
-rectangle {lo2 >= hi1-b, hi2 <= lo1+b} is queried through running
-maxima over a band of the (lo, hi) grid.
+adjacencies are determined at class level, and
+``core_graph.adjacent_class_max`` takes each class's largest label over
+its adjacent classes.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ from .bounds import beta_decomposition
 from .core_graph import (
     Params,
     Vertex,
+    adjacent_class_max,
     are_adjacent,
     class_size,
     enumerate_vertices,
     is_central,
+    span_classes,
     vertex_count_formula,
 )
 
@@ -298,20 +300,11 @@ def _band_scale(p: Params) -> _BandScale:
         raise ValueError(
             f"band numbering needs b/n <= 1/2, got {p.b}/{p.n}"
         )
-    if 2 * p.n**4 >= 2**63:
-        raise ValueError(f"band numbering keys need 2n^4 < 2^63 (int64), got n = {p.n}")
+    if p.n**3 >= 2**63:
+        raise ValueError(f"band numbering keys need n^3 < 2^63 (int64), got n = {p.n}")
     dec = beta_decomposition(Fraction(p.b, p.n))
     R = p.n - dec.q * p.b
     return _BandScale(n=p.n, b=p.b, q=dec.q, R=R, S=p.b - R, regime=dec.regime)
-
-
-def _span_class_arrays(p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, d = hi - lo) of every nonempty span class."""
-    spans = np.arange(p.k - 1, p.b + 1 if p.k > 1 else 1, dtype=np.int64)
-    counts = p.n + 1 - spans
-    d = np.repeat(spans, counts)
-    lo = np.arange(d.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return lo, d
 
 
 def _strip_blocks(x: np.ndarray, d: np.ndarray, sc: _BandScale):
@@ -354,19 +347,22 @@ def _exact_position(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
 
     Two distinct such rationals differ by at least 1/n², so their scaled
     values differ by at least 1 and keep their order after the floor.
-    Exact in int64 for |num| <= 2n² (``_band_scale`` refuses 2n⁴ >= 2⁶³).
+    Split as (num // den)·n² + (num % den)·n² // den, every intermediate
+    stays within n³ in absolute value when |num/den| <= n, as for every
+    position here; ``_band_scale`` refuses n³ >= 2⁶³.
     """
     assert (den > 0).all() and (den <= n).all()
-    return (num * (n * n)) // den
+    quot, rem = np.divmod(num, den)
+    return quot * (n * n) + rem * (n * n) // den
 
 
-def _band_numbering(p: Params, tag: str, lo, d, block, num, den) -> Numbering:
-    """Order the classes by (block, num/den, d) and label them in turn.
+def _band_numbering(p: Params, tag: str, lo, d, block, position) -> Numbering:
+    """Order the classes by (block, position, d) and label them in turn.
 
     Distinct classes never tie: within a block and a span d, the
     position is strictly increasing in lo.
     """
-    perm = np.lexsort((d, _exact_position(num, den, p.n), block))
+    perm = np.lexsort((d, position, block))
     return Numbering(p, tag, classes=(lo[perm], lo[perm] + d[perm]))
 
 
@@ -380,12 +376,13 @@ def low_remainder_numbering(p: Params) -> Numbering:
         raise ValueError(
             f"b/n = {p.b}/{p.n} has a high remainder; use high_remainder_numbering"
         )
-    x, d = _span_class_arrays(p)
+    x, hi = span_classes(p).T
+    d = hi - x
     tri, i = _strip_blocks(x, d, sc)
-    tri_num, tri_den = _tri_position(x, d, i, sc)
-    num = np.where(tri, tri_num, sc.q * x + i * d)
-    den = np.where(tri, tri_den, 1)
-    return _band_numbering(p, "low_remainder", x, d, 2 * i - tri, num, den)
+    tri_num, tri_den = _tri_position(x[tri], d[tri], i[tri], sc)
+    position = sc.q * x + i * d
+    position[tri] = _exact_position(tri_num, tri_den, p.n)
+    return _band_numbering(p, "low_remainder", x, d, 2 * i - tri, position)
 
 
 def high_remainder_numbering(p: Params) -> Numbering:
@@ -411,7 +408,8 @@ def high_remainder_numbering(p: Params) -> Numbering:
         )
     q, n = sc.q, sc.n
     qS = q * sc.S
-    x, d = _span_class_arrays(p)
+    x, hi = span_classes(p).T
+    d = hi - x
     tri, i = _strip_blocks(x, d, sc)
     tri_num, tri_den = _tri_position(x, d, i, sc)
     # The upper half's sector is the first i with P clockwise of the ray
@@ -421,7 +419,7 @@ def high_remainder_numbering(p: Params) -> Numbering:
     block = np.where(upper, 2 * sector, 2 * i - tri)
     num = np.where(upper, x * (n - qS), np.where(tri, tri_num, q * x + i * d - i * qS))
     den = np.where(upper, n - d, np.where(tri, tri_den, q))
-    return _band_numbering(p, "high_remainder", x, d, block, num, den)
+    return _band_numbering(p, "high_remainder", x, d, block, _exact_position(num, den, n))
 
 
 # ── bandwidth evaluation ──────────────────────────────────────────────
@@ -449,32 +447,14 @@ def bandwidth_by_edge_scan(f: Numbering) -> int:
 def bandwidth_of_numbering(f: Numbering) -> int:
     """Exact max |f(u)-f(v)| over edges, via span-class label tables.
 
-    For each class (lo, hi) take the min and max label among its
-    vertices.  Classes c1, c2 hold adjacent vertices iff
-    max(hi1, hi2) - min(lo1, lo2) <= b, i.e. c2 lies in the rectangle
-    lo2 >= hi1-b, hi2 <= lo1+b; a running-maximum table answers the
-    rectangle-max query in O(1) per class.  The query rectangle always
-    contains c1 itself, which also accounts for intra-class edges
-    (same-class vertices are always adjacent); a singleton class only
-    contributes its own 0.  Exact for every k: at k = 1 each class is a
-    singleton (lo, lo).
+    For each class take the min and max label among its vertices; the
+    widest edge from a class reaches the largest max label over its
+    adjacent classes.  Those include the class itself, which accounts
+    for intra-class edges (same-class vertices are always adjacent); a
+    singleton class only contributes its own 0.  Exact for every k: at
+    k = 1 each class is a singleton (lo, lo).
 
-    A query rectangle lo >= a, hi <= c has width c - a <= min(2b, n), so
-    the table is kept in (c, c - a) layout: (n+1)·(min(2b, n)+1) cells.
     Runs in O(classes + n·b) after the per-class labels.
     """
-    p = f.params
-    n, b = p.n, p.b
     lo, hi, first, last = f.class_labels()
-    width = min(2 * b, n)
-    # top[a, w] = max label over classes with lo = a, hi <= a + w
-    top = np.zeros((n + 1, width + 1), dtype=np.int64)
-    top[lo, hi - lo] = last
-    np.maximum.accumulate(top, axis=1, out=top)
-    # table[c, w] = max label over classes with lo >= c - w, hi <= c
-    c, w = np.ogrid[: n + 1, : width + 1]
-    table = np.where(c >= w, top[np.maximum(c - w, 0), w], 0)
-    np.maximum.accumulate(table, axis=1, out=table)
-    cols = np.minimum(lo + b, n)
-    rows = np.maximum(hi - b, 0)
-    return int((table[cols, cols - rows] - first).max())
+    return int((adjacent_class_max(f.params, lo, hi, last) - first).max())

@@ -173,7 +173,7 @@ class Certificate:
         return None
 
 
-def certify(p: Params, run_exact: bool = False, cap: int = DEFAULT_CAP) -> Certificate:
+def certify(p: Params, run_exact: bool = False) -> Certificate:
     """Best available bracket from closed-form bounds and constructed
     numberings; optionally pin the value by exact search (small graphs).
     """
@@ -201,12 +201,12 @@ def certify(p: Params, run_exact: bool = False, cap: int = DEFAULT_CAP) -> Certi
 
     exact_value: int | None = None
     if run_exact:
-        if vertex_count_formula(p) > cap:
+        if vertex_count_formula(p) > DEFAULT_CAP:
             raise CapacityError(
-                f"|V| = {vertex_count_formula(p)} exceeds exact-search cap {cap}"
+                f"|V| = {vertex_count_formula(p)} exceeds exact-search cap {DEFAULT_CAP}"
             )
         graph, verts = band_graph_as_simple_graph(p)
-        value, placement = exact_bandwidth_with_witness(graph, cap=cap)
+        value, placement = exact_bandwidth_with_witness(graph)
         assert lower <= value <= upper, f"exact bandwidth {value} outside [{lower}, {upper}]"
         exact_value = value
         if value < upper:

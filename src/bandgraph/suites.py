@@ -1,12 +1,6 @@
 """Named verification suites: each bundles one family of checks over a
 pinned instance grid and reports per-check pass/fail.  The CLI `verify`
 subcommand and the acceptance tests both run these.
-
-The distance suite carries its own breadth-first oracle over the span
-class grid (a code path independent of core_graph.graph_distance_bfs):
-a BFS frontier of classes expands to all classes in the adjacency
-rectangle {lo2 >= hi1-b, hi2 <= lo1+b}, which is one suffix/prefix
-running-OR over the grid per layer.
 """
 
 from __future__ import annotations
@@ -18,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
 
 from .bounds import (
     asymptotic_coefficient_interval,
@@ -31,10 +24,11 @@ from .bounds import (
 )
 from .core_graph import (
     Params,
-    class_size,
+    class_distances,
     diameter,
     distance_upper_bound,
     interval_distance,
+    span_classes,
     vertex_count_formula,
 )
 from .geometry import (
@@ -84,52 +78,6 @@ class SuiteResult:
 
 def _result(name: str, checks: list[Check]) -> SuiteResult:
     return SuiteResult(name=name, checks=tuple(checks))
-
-
-# ── class-grid BFS oracle ─────────────────────────────────────────────
-
-
-def class_distance_grid(p: Params, source_lo: int, source_hi: int) -> np.ndarray:
-    """BFS distances from the class (source_lo, source_hi) to every
-    class of G(n, k, b), as an (n+1) x (n+1) grid (-1 = unreachable or
-    not a class).  Distances are between distinct vertices, so the
-    source entry is 0 by convention; any two vertices in one class are
-    adjacent whenever the class has >= 2 members."""
-    n, k, b = p.n, p.k, p.b
-    valid = np.zeros((n + 1, n + 1), dtype=bool)
-    for lo in range(n + 1):
-        hi_top = min(lo + b, n)
-        if k == 1:
-            valid[lo, lo] = True
-        else:
-            lo_hi = lo + k - 1
-            if lo_hi <= hi_top:
-                valid[lo, lo_hi : hi_top + 1] = True
-
-    if not valid[source_lo, source_hi]:
-        raise ValueError(f"({source_lo}, {source_hi}) is not a class of G{p}")
-
-    # gather indices for the rectangle query of every grid cell
-    row_idx = np.maximum(np.arange(n + 1) - b, 0)  # indexed by hi2
-    col_idx = np.minimum(np.arange(n + 1) + b, n)  # indexed by lo2
-
-    dist = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    dist[source_lo, source_hi] = 0
-    frontier = np.zeros((n + 1, n + 1), dtype=bool)
-    frontier[source_lo, source_hi] = True
-    layer = 0
-    while frontier.any():
-        layer += 1
-        # table[a, c] = any frontier class with lo1 >= a and hi1 <= c
-        table = np.logical_or.accumulate(frontier[::-1, :], axis=0)[::-1, :]
-        table = np.logical_or.accumulate(table, axis=1)
-        # class (lo2, hi2) adjacent to the frontier iff some frontier
-        # class has lo1 >= hi2-b and hi1 <= lo2+b
-        reach = table[np.ix_(row_idx, col_idx)].T
-        fresh = reach & valid & (dist < 0)
-        dist[fresh] = layer
-        frontier = fresh
-    return dist
 
 
 # ── individual suites ─────────────────────────────────────────────────
@@ -204,33 +152,34 @@ def suite_numberings() -> SuiteResult:
 
 
 def suite_distances() -> SuiteResult:
-    """Grid-BFS oracle vs the interval-distance and diameter formulas
-    (n <= 20, k <= 4), and the two-sided bound check: the distance upper
-    bound dominates true distances on every properly ordered class pair
-    (n <= 14)."""
-    checks = []
+    """Class BFS (``core_graph.class_distances``) vs the interval-distance
+    and diameter formulas (n <= 20, k <= 4), and the two-sided bound
+    check: the distance upper bound dominates true distances on every
+    properly ordered class pair (n <= 14).
+
+    The BFS runs from every interval class, and from every class where
+    n <= 14; each run serves all three checks.  Edgeless instances
+    (b = k-1) have no distances and are skipped."""
+    checks, bound_checks = [], []
     interval_bad = diameter_bad = 0
-    interval_total = diameter_total = 0
+    interval_total = diameter_total = pairs_checked = 0
     for n in range(1, 21):
         for k in range(1, 5):
-            if k > n + 1:
-                continue
-            for b in range(max(1, k - 1), n + 1):
+            for b in range(k, n + 1):
                 p = Params(n=n, k=k, b=b)
-                if b == k - 1:
-                    continue  # edgeless: distances and diameter undefined
                 diameter_total += 1
                 want_diam = diameter(p)
-                got_diam = -1
-                # BFS from every interval class: checks interval pairs
-                # and (because the first interval class reaches
-                # everything at maximal depth) feeds the diameter check.
-                all_max = 0
-                for i in range(0, n - k + 2):
-                    dist = class_distance_grid(p, i, i + k - 1)
-                    for j in range(i, n - k + 2):
+                intervals = n - k + 2
+                classes = span_classes(p).tolist()
+                # the interval classes come first, by ascending lo; the
+                # first one reaches everything at maximal depth, so where
+                # n > 14 the interval rows alone still give the diameter
+                sources = classes if n <= 14 else classes[:intervals]
+                rows = [class_distances(p, source).tolist() for source in sources]
+                for i in range(intervals):
+                    for j in range(i, intervals):
                         interval_total += 1
-                        got = int(dist[j, j + k - 1])
+                        got = rows[i][j]
                         want = interval_distance(i, j, p)
                         if got != want:
                             interval_bad += 1
@@ -242,39 +191,35 @@ def suite_distances() -> SuiteResult:
                                         detail=f"bfs={got} formula={want}",
                                     )
                                 )
-                    valid_d = dist[dist >= 0]
-                    all_max = max(all_max, int(valid_d.max()))
-                if n <= 14:
-                    # full diameter: BFS from every class
-                    for lo in range(n + 1):
-                        for hi in range(lo + k - 1 if k >= 2 else lo, min(lo + b, n) + 1):
-                            if class_size(lo, hi, k) == 0:
-                                continue
-                            dist = class_distance_grid(p, lo, hi)
-                            valid_d = dist[dist >= 0]
-                            all_max = max(all_max, int(valid_d.max()))
-                    got_diam = all_max
-                    if got_diam != want_diam:
-                        diameter_bad += 1
-                        checks.append(
-                            Check(
-                                id=f"diameter({n},{k},{b})",
-                                passed=False,
-                                detail=f"bfs={got_diam} formula={want_diam}",
-                            )
+                got_diam = max(map(max, rows))
+                if got_diam != want_diam:
+                    diameter_bad += 1
+                    label = "bfs" if n <= 14 else "interval-max"
+                    checks.append(
+                        Check(
+                            id=f"diameter({n},{k},{b})",
+                            passed=False,
+                            detail=f"{label}={got_diam} formula={want_diam}",
                         )
-                else:
-                    # interval classes include the extreme pair achieving
-                    # the diameter; verify max interval distance == formula
-                    if all_max != want_diam:
-                        diameter_bad += 1
-                        checks.append(
-                            Check(
-                                id=f"diameter({n},{k},{b})",
-                                passed=False,
-                                detail=f"interval-max={all_max} formula={want_diam}",
+                    )
+                if n > 14 or k == 1:
+                    continue
+                for (lo1, hi1), row in zip(classes, rows):
+                    for (lo2, hi2), got in zip(classes, row):
+                        if (lo1, hi1) >= (lo2, hi2):
+                            continue
+                        x = tuple(range(lo1, lo1 + k - 1)) + (hi1,)
+                        y = tuple(range(lo2, lo2 + k - 1)) + (hi2,)
+                        bound = distance_upper_bound(x, y, p)
+                        pairs_checked += 1
+                        if got > bound:
+                            bound_checks.append(
+                                Check(
+                                    id=f"bound({n},{k},{b}) {(lo1, hi1)}->{(lo2, hi2)}",
+                                    passed=False,
+                                    detail=f"bfs={got} bound={bound}",
+                                )
                             )
-                        )
     checks.append(
         Check(
             id="interval-distance(n<=20,k<=4)",
@@ -289,44 +234,11 @@ def suite_distances() -> SuiteResult:
             detail=f"{diameter_total} instances checked",
         )
     )
-
-    dominated = True
-    pairs_checked = 0
-    for n in range(1, 15):
-        for k in range(2, 5):
-            if k > n + 1:
-                continue
-            for b in range(k, n + 1):  # b >= k so b-k+1 >= 1
-                p = Params(n=n, k=k, b=b)
-                classes = [
-                    (lo, hi)
-                    for lo in range(n + 1)
-                    for hi in range(lo + k - 1, min(lo + b, n) + 1)
-                    if class_size(lo, hi, k) > 0
-                ]
-                for lo1, hi1 in classes:
-                    dist = class_distance_grid(p, lo1, hi1)
-                    for lo2, hi2 in classes:
-                        if (lo1, hi1) >= (lo2, hi2):
-                            continue
-                        x = tuple(range(lo1, lo1 + k - 1)) + (hi1,)
-                        y = tuple(range(lo2, lo2 + k - 1)) + (hi2,)
-                        bound = distance_upper_bound(x, y, p)
-                        got = int(dist[lo2, hi2])
-                        pairs_checked += 1
-                        if got > bound:
-                            dominated = False
-                            checks.append(
-                                Check(
-                                    id=f"bound({n},{k},{b}) {(lo1, hi1)}->{(lo2, hi2)}",
-                                    passed=False,
-                                    detail=f"bfs={got} bound={bound}",
-                                )
-                            )
+    checks.extend(bound_checks)
     checks.append(
         Check(
             id="upper-bound-dominates(n<=14)",
-            passed=dominated,
+            passed=not bound_checks,
             detail=f"{pairs_checked} ordered class pairs",
         )
     )

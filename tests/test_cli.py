@@ -45,11 +45,11 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "  bandwidth in [48, 72] (closed forms)\n" in out
 
-    def test_bracket_when_band_keys_exceed_int64(self, capsys):
-        # n = 50000 has 2n^4 >= 2^63: certify refuses the band numbering
+    def test_bracket_from_certify_at_large_n(self, capsys):
+        # n = 50000 has n^4 >= 2^63; the band numbering keeps its keys below n^3
         assert main(["info", "--n", "50000", "--k", "2", "--b", "3"]) == 0
         out = capsys.readouterr().out
-        assert "  bounds meet: exact bandwidth = 6 (closed forms)\n" in out
+        assert "  bounds meet: exact bandwidth = 6 (witness: lex)\n" in out
 
     def test_bracket_above_table_cap_at_k1(self, capsys):
         # 40001 vertices, but the evaluator's table has 40001 * 39999 cells

@@ -8,12 +8,14 @@ import itertools
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandgraph.core_graph import (
     Params,
+    adjacent_class_max,
     are_adjacent,
     central_count,
     class_size,
@@ -111,24 +113,33 @@ class TestCounting:
             alt = (p.n + 1) * comb0(p.b, p.k - 1) - (p.k - 1) * comb0(p.b + 1, p.k)
             assert vertex_count_formula(p) == alt
 
-    @pytest.mark.parametrize("p", [q for q in SMALL_GRID if q.k >= 2], ids=str)
+    @pytest.mark.parametrize("p", SMALL_GRID, ids=str)
     def test_class_sizes_partition_the_graph(self, p):
         classes = span_classes(p)
-        assert sum(class_size(c.lo, c.hi, p.k) for c in classes) == vertex_count_formula(p)
-        for c in classes:
-            brute = sum(
-                1 for x in brute_vertices(p) if x[0] == c.lo and x[-1] == c.hi
-            )
-            assert class_size(c.lo, c.hi, p.k) == brute
+        assert classes.dtype == np.int64 and classes.T.flags.c_contiguous
+        assert len(classes) == len({(x[0], x[-1]) for x in brute_vertices(p)})
+        sizes = [class_size(lo, hi, p.k) for lo, hi in classes.tolist()]
+        assert sum(sizes) == vertex_count_formula(p)
+        for (lo, hi), size in zip(classes.tolist(), sizes):
+            assert size == sum(1 for x in brute_vertices(p) if x[0] == lo and x[-1] == hi)
 
     def test_class_size_k1(self):
         assert class_size(3, 3, 1) == 1
         assert class_size(3, 5, 1) == 0
         assert class_size(2, 2, 2) == 0
 
-    def test_span_classes_require_k2(self):
-        with pytest.raises(ValueError):
-            span_classes(Params(n=4, k=1, b=2))
+    @settings(max_examples=200, deadline=None)
+    @given(params_st(), st.data())
+    def test_adjacent_class_max_vs_pair_scan(self, p, data):
+        classes = span_classes(p)
+        m = len(classes)
+        values = data.draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
+        got = adjacent_class_max(p, *classes.T, np.array(values, dtype=np.int64)).tolist()
+        pairs = classes.tolist()
+        for (lo1, hi1), g in zip(pairs, got):
+            assert g == max(
+                v for (lo2, hi2), v in zip(pairs, values) if max(hi1, hi2) - min(lo1, lo2) <= p.b
+            )
 
 
 class TestCentral:

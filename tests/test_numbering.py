@@ -194,10 +194,10 @@ class TestClassValidation:
 
 class TestInt64Refusals:
     def test_band_keys_refuse_large_n(self):
-        # 2n^4 < 2^63 holds up to n = 46340
+        # n^3 < 2^63 holds up to n = 2^21 - 1
         for fn in (low_remainder_numbering, high_remainder_numbering):
-            with pytest.raises(ValueError, match="2n\\^4"):
-                fn(Params(n=46341, k=2, b=3))
+            with pytest.raises(ValueError, match="n\\^3"):
+                fn(Params(n=2**21, k=2, b=3))
 
     def test_labels_refuse_2_pow_62_vertices(self):
         p = Params(n=200, k=60, b=100)
@@ -225,10 +225,11 @@ class TestExactPosition:
                 assert key[i] == key[j]
 
     def test_exact_at_the_int64_edge(self):
-        n = 46340
-        assert 2 * n**4 < 2**63
-        num = np.array([2 * n * n, 2 * n * n - 1, -2 * n * n, n * n + n], dtype=np.int64)
-        den = np.array([n, n - 1, 1, 7], dtype=np.int64)
+        # positions num/den lie in [0, n]
+        n = 2**21 - 1
+        assert n**3 < 2**63
+        num = np.array([n * n, n * n - 1, n * (n - 1) - 1, 0, 1, n * 7 - 1], dtype=np.int64)
+        den = np.array([n, n, n - 1, 1, n, 7], dtype=np.int64)
         got = _exact_position(num, den, n).tolist()
         assert got == [(a * n * n) // d for a, d in zip(num.tolist(), den.tolist())]
 

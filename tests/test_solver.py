@@ -174,7 +174,7 @@ class TestCertify:
         value = bracket.lower - 1 if shift < 0 else bracket.upper + 1
         found = exact_bandwidth_with_witness(band_graph_as_simple_graph(p)[0])[1]
         monkeypatch.setattr(
-            bandgraph.solver, "exact_bandwidth_with_witness", lambda g, cap: (value, found)
+            bandgraph.solver, "exact_bandwidth_with_witness", lambda g: (value, found)
         )
         with pytest.raises(AssertionError, match="outside"):
             certify(p, run_exact=True)
@@ -182,6 +182,11 @@ class TestCertify:
     def test_run_exact_capacity(self):
         with pytest.raises(CapacityError):
             certify(Params(n=9, k=2, b=5), run_exact=True)
+
+    def test_large_n_narrow_band(self):
+        # n^4 overflows int64 here; the band numbering's keys stay below n^3
+        cert = certify(Params(n=50000, k=2, b=3))
+        assert (cert.lower, cert.upper) == (6, 6)
 
     def test_band_numbering_considered_when_beta_small(self):
         cert = certify(Params(n=20, k=2, b=9))
