@@ -40,6 +40,7 @@ from .numbering import (
     lex_numbering,
     low_remainder_numbering,
     mirror_numbering,
+    palindromic_vertex_count,
 )
 from .solver import certify
 from .suites import run_suite, suite_names
@@ -74,9 +75,9 @@ NUMBERINGS = {
 
 
 # Size guard on what evaluating one numbering holds in memory: the
-# evaluator's table cells, or the vertices of lex and mirror; larger
-# instances are refused instead of exhausting memory.
-MAX_VERTICES = 2_000_000
+# evaluator's table cells, or the palindromic vertices mirror lists;
+# larger instances are refused instead of exhausting memory.
+MAX_TABLE_CELLS = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -134,10 +135,10 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def _bracket(p: Params) -> str:
     """The bandwidth bracket of ``certify`` and its witness; the
-    closed-form density and lex bounds above the size cap, where certify
-    would list too many vertices for lex and mirror."""
+    closed-form density and lex bounds above the size cap, where one of
+    certify's candidates would not fit (mirror holds the most)."""
     lower, upper, source = density_lower_bound(p), lex_upper_bound_value(p), "closed forms"
-    if _evaluation_size(p, "lex")[0] <= MAX_VERTICES:
+    if _evaluation_size(p, "mirror")[0] <= MAX_TABLE_CELLS:
         c = certify(p)
         lower, upper, source = c.lower, c.upper, f"witness: {c.method}"
     if lower == upper:
@@ -286,8 +287,8 @@ def sweep_row(k: int, n: int, b: int, method: str) -> dict[str, str]:
     try:
         p = Params(n=n, k=k, b=b)
         size, unit = _evaluation_size(p, method)
-        if size > MAX_VERTICES:
-            raise ValueError(f"{size} {unit} exceed the cap {MAX_VERTICES} for {method}")
+        if size > MAX_TABLE_CELLS:
+            raise ValueError(f"{size} {unit} exceed the cap {MAX_TABLE_CELLS} for {method}")
         bw = bandwidth_of_numbering(NUMBERINGS[method](p))
         row["bandwidth"] = str(bw)
         row["ratio"] = _fmt12(Fraction(bw, n**k))
@@ -299,10 +300,11 @@ def sweep_row(k: int, n: int, b: int, method: str) -> dict[str, str]:
 def _evaluation_size(p: Params, method: str) -> tuple[int, str]:
     """What evaluating one numbering holds at once, with its unit: the
     evaluator's (n+1)·(min(2b, n)+1) table cells, one for each span class
-    and more, or the vertex list of lex and mirror where that is larger."""
+    and more, or the palindromic vertices mirror lists while it is built,
+    where those are more."""
     cells = class_table_cells(p)
-    if method in ("lex", "mirror") and vertex_count_formula(p) > cells:
-        return vertex_count_formula(p), "vertices"
+    if method == "mirror" and palindromic_vertex_count(p) > cells:
+        return palindromic_vertex_count(p), "palindromic vertices"
     return cells, "table cells"
 
 

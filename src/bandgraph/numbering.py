@@ -16,15 +16,26 @@ Four constructions are provided:
   Their bandwidths track the asymptotic coefficients c1 (low) and
   c2+c3 (high) times n^k.
 
-Lex, mirror and custom numberings are explicit vertex orders.  The band
-numberings place a vertex X by the integer point (min(X), max(X)) alone,
-so they order the O(n·b) span classes and give each class a block of
-consecutive labels, its vertices in lex order; their vertex order is
-listed only on demand.  Every block test is an integer inequality,
-solved in closed form for all classes at once.  A within-block position
-is an integer or a rational num/den in [0, n] with 0 < den <= n; two
-distinct such rationals differ by at least 1/n², so the integer
-floor(num·n²/den) orders them exactly.
+Only custom numberings are explicit vertex orders.  The library
+numberings give each span class (min, max) its smallest and largest
+label, computed for the O(n·b) classes at once, and list their vertex
+order only on demand.
+
+* The band numberings place a vertex X by the integer point
+  (min(X), max(X)) alone, so they order the classes and give each class
+  a block of consecutive labels, its vertices in lex order.  Every block
+  test is an integer inequality, solved in closed form for all classes
+  at once.  A within-block position is an integer or a rational num/den
+  in [0, n] with 0 < den <= n; two distinct such rationals differ by at
+  least 1/n², so the integer floor(num·n²/den) orders them exactly.
+* Lex and mirror labels are lex ranks in a truncated universe: the
+  vertices with min(X) = l and X within [l, l + W(l)].  A rank is a
+  hockey-stick sum of O(k) binomials; a class's lex-first and lex-last
+  members, (lo, lo+1, ..., lo+k-2, hi) and (lo, hi-k+2, ..., hi), rank
+  in closed form.  Mirror reaches its high-sum block through the
+  reflection X -> n - X, and lists as int64 arrays only the members of
+  the palindromic classes (min + max = n), which it deals out
+  alternately.
 
 ``bandwidth_of_numbering`` evaluates max |f(u)-f(v)| over edges without
 enumerating edges: vertices sharing (min, max) form a span class, all
@@ -38,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -50,17 +61,15 @@ from .core_graph import (
     are_adjacent,
     class_size,
     enumerate_vertices,
-    is_central,
     span_classes,
     vertex_count_formula,
 )
 
 __all__ = [
     "Numbering",
-    "MirrorPartition",
     "lex_numbering",
-    "mirror_partition",
     "mirror_numbering",
+    "palindromic_vertex_count",
     "low_remainder_numbering",
     "high_remainder_numbering",
     "custom_numbering",
@@ -76,12 +85,18 @@ class Numbering:
     """A proper numbering of G(n, k, b) with labels 1..|V|.
 
     Built from an explicit vertex order (``order[i]`` carries label i+1),
-    or from ``classes=(lo, hi)``, the span classes in label order: each
-    class takes the next ``class_size`` labels, its vertices in lex
-    order, and ``order`` is listed on first use.
+    or from ``classes``, every span class once, in one of two shapes:
+
+    * ``(lo, hi)``, the classes in label order: each class takes the next
+      ``class_size`` labels, its vertices in lex order;
+    * ``(lo, hi, first, last)``, each class's smallest and largest label,
+      with ``lister``, a function of no arguments that lists the vertex
+      order.
+
+    Either way ``order`` is listed on first use.
     """
 
-    def __init__(self, params: Params, tag: str, order=None, *, classes=None) -> None:
+    def __init__(self, params: Params, tag: str, order=None, *, classes=None, lister=None) -> None:
         if (order is None) == (classes is None):
             raise TypeError("give exactly one of order and classes")
         self.params = params
@@ -91,19 +106,30 @@ class Numbering:
             self._ends = _check_order(self._order, params)
             self._size = len(self._order)
             self._class_labels = None
+            return
+        lo, hi, *labels = (np.asarray(a, dtype=np.int64) for a in classes)
+        sizes = _check_classes(lo, hi, params)
+        self._order = None
+        self._size = vertex_count_formula(params)
+        if labels:
+            if lister is None:
+                raise TypeError("per-class labels need a lister")
+            first, last = labels
+            if first.shape != lo.shape or last.shape != lo.shape:
+                raise ValueError("labels must be two arrays as long as the classes")
+            if ((first < 1) | (last - first < sizes - 1) | (last > self._size)).any():
+                raise ValueError("a class's labels do not fit its size within 1..|V|")
         else:
-            lo, hi = (np.asarray(a, dtype=np.int64) for a in classes)
-            sizes = _check_classes(lo, hi, params)
             last = np.cumsum(sizes)
-            self._order = None
-            self._size = vertex_count_formula(params)
-            self._class_labels = (lo, hi, last - sizes + 1, last)
+            first = last - sizes + 1
+            lister = lambda: _class_members(_binomials(params), lo, hi, params.k).T.tolist()
+        self._lister = lister
+        self._class_labels = (lo, hi, first, last)
 
     @property
     def order(self) -> tuple[Vertex, ...]:
         if self._order is None:
-            lo, hi = self._class_labels[:2]
-            self._order = tuple(_class_vertices(lo.tolist(), hi.tolist(), self.params.k))
+            self._order = tuple(map(tuple, self._lister()))
         return self._order
 
     def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -181,6 +207,14 @@ def _fits_int64(x: int) -> bool:
     return -(2**63) <= x < 2**63
 
 
+def _vertex_total(p: Params) -> int:
+    """|V|, refused at 2^62 and above, where int64 labels would overflow."""
+    total = vertex_count_formula(p)
+    if total >= MAX_LABELED_VERTICES:
+        raise ValueError(f"G{p} has {total} vertices; int64 labels need fewer than 2^62")
+    return total
+
+
 def _class_sizes(p: Params) -> np.ndarray:
     """class_size of a class of span d, for d = 0..b."""
     return np.array([class_size(0, d, p.k) for d in range(p.b + 1)], dtype=np.int64)
@@ -188,9 +222,7 @@ def _class_sizes(p: Params) -> np.ndarray:
 
 def _check_classes(lo: np.ndarray, hi: np.ndarray, p: Params) -> np.ndarray:
     """Check that (lo, hi) lists every span class once; return the sizes."""
-    total = vertex_count_formula(p)
-    if total >= MAX_LABELED_VERTICES:
-        raise ValueError(f"G{p} has {total} vertices; int64 labels need fewer than 2^62")
+    total = _vertex_total(p)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("classes must be two 1-d arrays of equal length")
     span = hi - lo
@@ -206,64 +238,274 @@ def _check_classes(lo: np.ndarray, hi: np.ndarray, p: Params) -> np.ndarray:
     return sizes
 
 
-def _class_vertices(los: list[int], his: list[int], k: int):
-    """The vertices of each class (lo, hi) in turn, each class in lex order."""
-    if k == 1:
-        return ((lo,) for lo in los)
-    return (
-        (lo, *mid, hi)
-        for lo, hi in zip(los, his)
-        for mid in combinations(range(lo + 1, hi), k - 2)
-    )
-
-
 def custom_numbering(p: Params, order) -> Numbering:
     return Numbering(p, "custom", tuple(map(tuple, order)))
 
 
+# ── lex ranks ─────────────────────────────────────────────────────────
+
+# Vertex lists below are int64 arrays of shape (k, count): column j is
+# one vertex, row i its i-th smallest element.
+
+
+def _binomials(p: Params) -> np.ndarray:
+    """table[j, d] = C(d + j, j) for j = 0..k-1 and d = 0..b-k+1, and
+    a last column of zeros, which d = -1 reads.
+
+    Every binomial the ranks and vertex lists below read is one of
+    these, so each is at most C(b, k-1) <= |V| < 2^62; a Pascal table
+    over every x <= b would overflow int64 far sooner (C(80, 40) at
+    (80, 78, 80)).  Refuses |V| >= 2^62 first.
+    """
+    _vertex_total(p)
+    table = np.zeros((p.k, p.b - p.k + 3), dtype=np.int64)
+    table[0, :-1] = 1
+    for j in range(1, p.k):
+        np.cumsum(table[j - 1, :-1], out=table[j, :-1])  # hockey stick
+    return table
+
+
+def _comb(table: np.ndarray, top, r):
+    """C(top, r) read from ``table``, 0 where top < r.
+
+    Read through the flat table: d = -1 in row r lands on the zero at
+    the end of row r-1 (of the last row when r = 0).
+    """
+    return table.ravel().take(np.maximum(top - r, -1) + r * table.shape[1])
+
+
+class _Lex:
+    """Lex order on the universe of vertices X with min(X) = l and
+    X within [l, l + W[l]], for l = 0..n (none where W[l] < 0).
+
+    A rank counts the universe's members lex-below a vertex, which need
+    not belong to the universe itself.
+    """
+
+    def __init__(self, table: np.ndarray, window: np.ndarray) -> None:
+        self.table, self.window = table, window
+        self.k = table.shape[0]
+        per_min = _comb(table, window, self.k - 1)
+        self.below = np.concatenate(([0], np.cumsum(per_min)))  # members with min < l
+        self.size = int(self.below[-1])
+
+    def class_ranks(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks of the lex-first and lex-last members of the classes
+        (lo, hi), each within the universe.  With h = hi - lo, the
+        lex-first (lo, lo+1, ..., lo+k-2, hi) follows the h-k+1 members
+        that share its first k-1 elements; the lex-last
+        (lo, hi-k+2, ..., hi) precedes the C(W-h+k-1, k-1) - 1 members
+        whose elements past lo all lie at or above hi-k+2."""
+        k, table, w, h = self.k, self.table, self.window[lo], hi - lo
+        base = self.below[lo]
+        return base + h - k + 1, base + _comb(table, w, k - 1) - _comb(table, w - h + k - 1, k - 1)
+
+    def ranks(self, vertices: np.ndarray) -> np.ndarray:
+        """Rank of each vertex (lo, x_2, ..., x_k) of a (k, count) list.
+
+        With s_i = x_{i+1} - lo (s_0 = 0), N = W[lo] and r = k-1, the
+        members below that share the first i elements and differ at the
+        next are Σ_{s_i < t < s_{i+1}} C(N-t, r-i-1)
+        = C(N-s_i, r-i) - C(N-s_{i+1}+1, r-i).
+        """
+        lo = vertices[0]
+        s = vertices - lo
+        n_window = self.window[lo]
+        r = np.arange(self.k - 1, 0, -1)[:, None]
+        below = _comb(self.table, n_window - s[:-1], r) - _comb(self.table, n_window - s[1:] + 1, r)
+        return self.below[lo] + below.sum(axis=0)
+
+
+def _combinations(table: np.ndarray, m: int, r: int) -> np.ndarray:
+    """The r-subsets of {0..m-1} in lex order, shape (r, C(m, r)).
+
+    The subsets of {m-c..m-1} are the last C(c, r); so the subsets
+    starting at a are a followed by the last C(m-1-a, r-1) of the
+    (r-1)-subsets of {0..m-2}, each element shifted by one.  Built up
+    from the empty subset, one element at a time.
+    """
+    subsets = np.zeros((0, 1), dtype=np.int64)
+    for j in range(1, r + 1):
+        size = m - r + j  # j-subsets of {0..size-1}
+        a = np.arange(max(size - j + 1, 0))
+        lens = _comb(table, size - 1 - a, j - 1)
+        src = np.arange(lens.sum()) + np.repeat(subsets.shape[1] - np.cumsum(lens), lens)
+        grown = np.empty((j, len(src)), dtype=np.int64)
+        grown[0] = np.repeat(a, lens)
+        np.add(subsets.take(src, axis=1), 1, out=grown[1:])
+        subsets = grown
+    return subsets
+
+
+def _class_members(table: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """The vertices of each class (lo, hi) in turn, each class in lex
+    order, shape (k, count): the middle k-2 elements of a class with
+    N = hi-lo-1 run over the last C(N, k-2) of one lex list of
+    (k-2)-subsets, shifted."""
+    if k == 1:
+        return lo[None, :]
+    inner_size = hi - lo - 1
+    m = int(inner_size.max(initial=0))
+    inner = _combinations(table, m, k - 2)
+    lens = _comb(table, inner_size, k - 2)
+    src = np.arange(lens.sum()) + np.repeat(inner.shape[1] - np.cumsum(lens), lens)
+    members = np.empty((k, len(src)), dtype=np.int64)
+    members[0], members[-1] = np.repeat(lo, lens), np.repeat(hi, lens)
+    np.add(inner.take(src, axis=1), np.repeat(lo + 1 - (m - inner_size), lens), out=members[1:-1])
+    return members
+
+
+# ── lex numbering ─────────────────────────────────────────────────────
+
+
 def lex_numbering(p: Params) -> Numbering:
-    return Numbering(p, "lex", tuple(enumerate_vertices(p)))
+    """Ascending lex order: every class's label range runs from its
+    lex-first to its lex-last member, ranked in the whole vertex set
+    (W(l) = min(b, n-l))."""
+    table = _binomials(p)
+    lo, hi = span_classes(p).T
+    first, last = _Lex(table, np.minimum(p.b, p.n - np.arange(p.n + 1))).class_ranks(lo, hi)
+    return Numbering(
+        p, "lex", classes=(lo, hi, first + 1, last + 1), lister=lambda: enumerate_vertices(p)
+    )
 
 
 # ── mirror numbering ──────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class MirrorPartition:
-    """V split into r0, central, r1 (each already in its final order).
+def _palindromic_starts(p: Params) -> np.ndarray:
+    """lo of every non-central palindromic class (lo, n - lo), ascending.
 
-    The map X -> {n - x : x in X} swaps the blocks r0 and r1 while
-    fixing the central block, hence |r0| and |r1| differ by at most 1:
-    non-central vertices with min+max < n go left, > n go right, and the
-    palindromic ones (min+max = n) are dealt out alternately by
-    ascending lex rank.
+    A class with min + max = n is central exactly when lo >= n - b.
+    """
+    n, b, k = p.n, p.b, p.k
+    lo = np.arange(n - b)
+    span = n - 2 * lo
+    return lo[(span >= k - 1) & (span <= (b if k > 1 else 0))]
+
+
+def palindromic_vertex_count(p: Params) -> int:
+    """How many vertices ``mirror_numbering`` lists one by one: the
+    members of the non-central palindromic classes,
+    Σ C(n-2lo-1, k-2) over their lo."""
+    return sum(class_size(lo, p.n - lo, p.k) for lo in _palindromic_starts(p).tolist())
+
+
+class _MirrorLabels:
+    """The labels of the mirror numbering of G(n, k, b).
+
+    Block r0 holds the non-central vertices with min+max < n (the low
+    universe, W(l) = min(b, n-2l-1) for l < n-b) and the even members of
+    the palindromic list; the central block (W(l) = b-l for l >= n-b)
+    follows; block r1 holds the rest.  The palindromic list is every
+    non-central vertex with min+max = n in lex order, about
+    |V|/(2(n-b+1)) of them; it is the one per-vertex list, and its
+    members at odd positions go to r1.
+
+    r0 and the central block are in lex order.  r1 is in reversed-tuple
+    order, which the reflection s(X) = n - X turns into descending lex
+    order of the images: label(v) = |V| - #{u in r1 : s(u) <lex s(v)},
+    and s maps the high-sum vertices onto the low universe.  Lex
+    comparisons with palindromic members go through global lex ranks.
     """
 
-    params: Params
-    r0: tuple[Vertex, ...]
-    central: tuple[Vertex, ...]
-    r1: tuple[Vertex, ...]
+    def __init__(self, p: Params) -> None:
+        n, b, k = p.n, p.b, p.k
+        self.p, self.total = p, _vertex_total(p)
+        table = _binomials(p)
+        l = np.arange(n + 1)
+        self.everything = _Lex(table, np.minimum(b, n - l))
+        self.low = _Lex(table, np.where(l < n - b, np.minimum(b, n - 2 * l - 1), -1))
+        self.central = _Lex(table, np.where(l >= n - b, b - l, -1))
+        self.pal_lo = lo = _palindromic_starts(p)
+        self.pal = _class_members(table, lo, n - lo, k)
+        # odd members are ranked through their images, like all of r1
+        self.pal_odd = np.arange(self.pal.shape[1]) % 2 == 1
+        self.pal_ranked = np.where(self.pal_odd, self._reflect(self.pal), self.pal)
+        self.pal_rank = self.everything.ranks(self.pal_ranked)
+        self.left_pal = self.pal_rank[~self.pal_odd]
+        self.right_pal = np.sort(self.pal_rank[self.pal_odd])
+        self.r0_size = self.low.size + len(self.left_pal)
 
+    def _reflect(self, vertices: np.ndarray) -> np.ndarray:
+        return self.p.n - vertices[::-1]
 
-def mirror_partition(p: Params) -> MirrorPartition:
-    low: list[Vertex] = []
-    high: list[Vertex] = []
-    sym: list[Vertex] = []
-    cent: list[Vertex] = []
-    for v in enumerate_vertices(p):
-        if is_central(v, p):
-            cent.append(v)
-        else:
-            s = v[0] + v[-1]
-            if s < p.n:
-                low.append(v)
-            elif s > p.n:
-                high.append(v)
-            else:
-                sym.append(v)
-    r0 = sorted(low + sym[0::2])
-    r1 = sorted(high + sym[1::2], key=lambda t: t[::-1])
-    return MirrorPartition(params=p, r0=tuple(r0), central=tuple(cent), r1=tuple(r1))
+    def _wing_labels(self, low_rank: np.ndarray, rank: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Labels of non-central vertices from the ranks, in the low
+        universe and in the whole vertex set, of the vertex itself in r0
+        and of its image where ``right`` (r1).
+
+        An r0 vertex follows the low-universe and even palindromic
+        vertices lex-below it; an r1 vertex v precedes, counting back
+        from |V|, the r1 vertices u with s(u) <lex s(v): the low-universe
+        vertices and odd palindromic images lex-below s(v).
+        """
+        return np.where(
+            right,
+            self.total - low_rank - np.searchsorted(self.right_pal, rank),
+            low_rank + np.searchsorted(self.left_pal, rank) + 1,
+        )
+
+    def vertex_labels(self, vertices: np.ndarray) -> np.ndarray:
+        """The label of each vertex of a (k, count) list."""
+        n, b = self.p.n, self.p.b
+        lo, hi = vertices[0], vertices[-1]
+        rank = self.everything.ranks(vertices)
+        odd = np.searchsorted(self.everything.ranks(self.pal), rank) % 2 == 1
+        right = (lo + hi > n) | ((lo + hi == n) & odd)
+        ranked = np.where(right, self._reflect(vertices), vertices)
+        labels = self._wing_labels(self.low.ranks(ranked), self.everything.ranks(ranked), right)
+        central = (lo >= n - b) & (hi <= b)
+        return np.where(central, self.r0_size + self.central.ranks(vertices) + 1, labels)
+
+    def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, first, last) of every class.
+
+        Outside the palindromic classes a class's lex-first member takes
+        its smallest label and its lex-last member its largest: in r1
+        too, as s maps the lex-last member of the low class (n-hi, n-lo)
+        to the lex-first member of (lo, hi).  A palindromic class takes
+        the extremes of its members' labels.
+        """
+        n, b = self.p.n, self.p.b
+        lo, hi = span_classes(self.p).T
+        central = (lo >= n - b) & (hi <= b)
+        # a high class is ranked through its image (n - hi, n - lo), whose
+        # lex-last member reflects to the lex-first member of (lo, hi);
+        # each formula below is read only for the classes it applies to
+        high = ~central & (lo + hi > n)
+        w_lo, w_hi = np.where(high, n - hi, lo), np.where(high, n - lo, hi)
+        low_first, low_last = self.low.class_ranks(w_lo, w_hi)
+        all_first, all_last = self.everything.class_ranks(w_lo, w_hi)
+        c_first, c_last = self.central.class_ranks(lo, hi)
+        first = np.where(
+            central,
+            self.r0_size + c_first + 1,
+            self._wing_labels(
+                np.where(high, low_last, low_first), np.where(high, all_last, all_first), high
+            ),
+        )
+        last = np.where(
+            central,
+            self.r0_size + c_last + 1,
+            self._wing_labels(
+                np.where(high, low_first, low_last), np.where(high, all_first, all_last), high
+            ),
+        )
+        pal = ~central & (lo + hi == n)
+        if pal.any():
+            labels = self._wing_labels(self.low.ranks(self.pal_ranked), self.pal_rank, self.pal_odd)
+            starts = np.searchsorted(self.pal[0], self.pal_lo)
+            at = np.flatnonzero(pal)[np.argsort(lo[pal])]
+            first[at] = np.minimum.reduceat(labels, starts)
+            last[at] = np.maximum.reduceat(labels, starts)
+        return lo, hi, first, last
+
+    def order(self) -> list[list[int]]:
+        """Every vertex, in label order."""
+        lo, hi = span_classes(self.p).T
+        vertices = _class_members(_binomials(self.p), lo, hi, self.p.k)
+        return vertices[:, np.argsort(self.vertex_labels(vertices))].T.tolist()
 
 
 def mirror_numbering(p: Params) -> Numbering:
@@ -271,8 +513,9 @@ def mirror_numbering(p: Params) -> Numbering:
     lex on the reversed tuple inside r1.  When 2b >= n+k-1 the central
     block is nonempty and the bandwidth equals ceil((|V|+|C|-2)/2),
     which is optimal; the construction itself is valid for every p."""
-    part = mirror_partition(p)
-    return Numbering(p, "mirror", part.r0 + part.central + part.r1)
+    return Numbering(
+        p, "mirror", classes=_MirrorLabels(p).class_labels(), lister=lambda: _MirrorLabels(p).order()
+    )
 
 
 # ── band-decomposition numberings ─────────────────────────────────────

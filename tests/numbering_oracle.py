@@ -1,19 +1,83 @@
-"""Test oracle: the band numberings built one vertex at a time.
+"""Test oracle: the library numberings built one vertex at a time.
 
-This is the per-vertex construction the library used before it worked
-on span classes.  Each vertex gets the sort key (block, pos, d, v) from
-a scan over the strips (``strip_block``) or the sectors, with exact
-``Fraction`` positions, and the vertices are sorted on it.  It shares no
-code with ``bandgraph.numbering`` beyond ``beta_decomposition``, so the
-tests compare the class-level constructors against it.
+These are the per-vertex constructions the library used before it
+worked on span classes.
+
+* Lex sorts the k-subsets of each window [lo, lo + b].
+* Mirror splits the vertices into r0, central and r1 by a test on each
+  vertex, deals out the palindromic ones alternately, and sorts r0 and
+  r1.
+* The band numberings give each vertex the sort key (block, pos, d, v)
+  from a scan over the strips (``strip_block``) or the sectors, with
+  exact ``Fraction`` positions, and sort the vertices on it.
+
+They share no code with ``bandgraph.numbering`` beyond
+``beta_decomposition``, so the tests compare the class-level
+constructors against them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from bandgraph.bounds import beta_decomposition
-from bandgraph.core_graph import Params, Vertex, enumerate_vertices
+from bandgraph.core_graph import Params, Vertex, enumerate_vertices, is_central
+
+
+def lex_order(p: Params) -> tuple[Vertex, ...]:
+    """Every vertex, sorted."""
+    return tuple(
+        sorted(
+            (lo, *rest)
+            for lo in range(p.n + 1)
+            for rest in combinations(range(lo + 1, min(lo + p.b, p.n) + 1), p.k - 1)
+        )
+    )
+
+
+@dataclass(frozen=True)
+class MirrorPartition:
+    """V split into r0, central, r1 (each already in its final order).
+
+    The map X -> {n - x : x in X} swaps the blocks r0 and r1 while
+    fixing the central block, hence |r0| and |r1| differ by at most 1:
+    non-central vertices with min+max < n go left, > n go right, and the
+    palindromic ones (min+max = n) are dealt out alternately by
+    ascending lex rank.
+    """
+
+    params: Params
+    r0: tuple[Vertex, ...]
+    central: tuple[Vertex, ...]
+    r1: tuple[Vertex, ...]
+
+
+def mirror_partition(p: Params) -> MirrorPartition:
+    low: list[Vertex] = []
+    high: list[Vertex] = []
+    sym: list[Vertex] = []
+    cent: list[Vertex] = []
+    for v in enumerate_vertices(p):
+        if is_central(v, p):
+            cent.append(v)
+        else:
+            s = v[0] + v[-1]
+            if s < p.n:
+                low.append(v)
+            elif s > p.n:
+                high.append(v)
+            else:
+                sym.append(v)
+    r0 = sorted(low + sym[0::2])
+    r1 = sorted(high + sym[1::2], key=lambda t: t[::-1])
+    return MirrorPartition(params=p, r0=tuple(r0), central=tuple(cent), r1=tuple(r1))
+
+
+def mirror_order(p: Params) -> tuple[Vertex, ...]:
+    part = mirror_partition(p)
+    return part.r0 + part.central + part.r1
 
 
 def band_scale(p: Params) -> tuple[int, int, int, str]:

@@ -13,6 +13,7 @@ import bandgraph.suites
 from bandgraph.bounds import density_lower_bound, lex_upper_bound_value
 from bandgraph.cli import CSV_COLUMNS, main, sweep_row
 from bandgraph.core_graph import Params
+from bandgraph.numbering import palindromic_vertex_count
 from bandgraph.suites import Check, SuiteResult
 
 HEADER = "n,k,b,beta,q,r,case,method,bandwidth,ratio,c1,c2,c3,lower_coeff,upper_coeff,error"
@@ -39,11 +40,17 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "  bandwidth in [48, 60] (witness: low_remainder)\n" in out
 
-    def test_bracket_above_vertex_cap_uses_closed_forms(self, capsys, monkeypatch):
-        monkeypatch.setattr(bandgraph.cli, "MAX_VERTICES", 100)
+    def test_bracket_above_table_cap_uses_closed_forms(self, capsys, monkeypatch):
+        monkeypatch.setattr(bandgraph.cli, "MAX_TABLE_CELLS", 100)
         assert main(["info", "--n", "20", "--k", "2", "--b", "9"]) == 0
         out = capsys.readouterr().out
         assert "  bandwidth in [48, 72] (closed forms)\n" in out
+
+    def test_bracket_from_certify_past_the_old_vertex_cap(self, capsys):
+        # 35.9M vertices: lex and mirror no longer list them
+        assert main(["info", "--n", "1000", "--k", "3", "--b", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "  bandwidth in [8973738, 10436374] (witness: low_remainder)\n" in out
 
     def test_bracket_from_certify_at_large_n(self, capsys):
         # n = 50000 has n^4 >= 2^63; the band numbering keeps its keys below n^3
@@ -173,14 +180,36 @@ class TestSweep:
         assert good.split(",")[8] == "60"
 
     def test_size_guard_refuses_explicit_orders(self, capsys):
-        # 666166500 vertices: refused from the closed-form count at once
+        # 666166500 vertices in 2001² table cells: refused from the
+        # closed-form count at once
         start = time.perf_counter()
         assert main(["sweep", "--k", "3", "--n", "2000", "--b", "1000", "--method", "lex,mirror"]) == 0
         assert time.perf_counter() - start < 5
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
         for row, method in zip(rows, ("lex", "mirror")):
-            assert row.endswith(f",666166500 vertices exceed the cap 2000000 for {method}")
+            assert row.endswith(f",4004001 table cells exceed the cap 2000000 for {method}")
+
+    def test_size_guard_counts_palindromic_vertices_for_mirror(self):
+        # 153.7M palindromic vertices (lo = 10..19) outnumber the 61² cells,
+        # while lex evaluates its 6.6e9 vertices in the table
+        p = Params(n=60, k=10, b=40)
+        assert sweep_row(10, 60, 40, "mirror")["error"] == (
+            f"{palindromic_vertex_count(p)} palindromic vertices exceed the cap 2000000 for mirror"
+        )
+        assert sweep_row(10, 60, 40, "lex")["error"] == ""
+
+    def test_lex_and_mirror_rows_past_the_old_vertex_cap(self, capsys):
+        # 35.9M vertices in 601,601 table cells: both widths are k·C(b, k)
+        start = time.perf_counter()
+        argv = ["sweep", "--k", "3", "--n", "1000", "--b", "300", "--method", "lex,mirror"]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 5
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[7], row[8], row[-1]) for row in rows] == [
+            ("lex", "13365300", ""),
+            ("mirror", "13365300", ""),
+        ]
 
     def test_size_guard_counts_table_cells_at_k1(self, capsys):
         # 200001 vertices, but the evaluator's table has 200001² cells
@@ -192,7 +221,7 @@ class TestSweep:
         assert row.endswith(",40000400001 table cells exceed the cap 2000000 for lex")
 
     def test_size_guard_counts_table_cells_for_band_rows(self, monkeypatch):
-        monkeypatch.setattr(bandgraph.cli, "MAX_VERTICES", 100)
+        monkeypatch.setattr(bandgraph.cli, "MAX_TABLE_CELLS", 100)
         row = sweep_row(2, 50, 5, "low_remainder")  # 240 classes in 51 * 11 cells
         assert row["error"] == "561 table cells exceed the cap 100 for low_remainder"
         assert row["bandwidth"] == ""

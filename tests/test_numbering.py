@@ -3,12 +3,13 @@
 Oracles: the brute-force pair scan for bandwidth (quadratic but
 independent of the span-class aggregation), brute subset enumeration for
 bijectivity, the closed forms for the mirror numbering's value, and the
-per-vertex band constructions of ``numbering_oracle``.
+per-vertex lex, mirror and band constructions of ``numbering_oracle``.
 """
 
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from bandgraph.numbering import (
     lex_numbering,
     low_remainder_numbering,
     mirror_numbering,
-    mirror_partition,
+    palindromic_vertex_count,
 )
 
 
@@ -191,8 +192,34 @@ class TestClassValidation:
         with pytest.raises(TypeError):
             Numbering(self.P, "t", (), classes=([], []))
 
+    def test_per_class_labels(self):
+        lo, hi = self.classes()
+        f = low_remainder_numbering(self.P)
+        _, _, first, last = f.class_labels()
+        g = Numbering(self.P, "t", classes=(lo, hi, first, last), lister=lambda: f.order)
+        assert g.order == f.order
+        assert bandwidth_of_numbering(g) == bandwidth_of_numbering(f)
+        with pytest.raises(TypeError, match="lister"):
+            Numbering(self.P, "t", classes=(lo, hi, first, last))
+        with pytest.raises(ValueError, match="as long as the classes"):
+            Numbering(self.P, "t", classes=(lo, hi, first[1:], last), lister=list)
+        too_far = last.copy()
+        too_far[0] = len(f) + 1
+        with pytest.raises(ValueError, match="do not fit"):
+            Numbering(self.P, "t", classes=(lo, hi, first, too_far), lister=list)
+
 
 class TestInt64Refusals:
+    def test_lex_and_mirror_refuse_2_pow_62_vertices_at_once(self):
+        # 8.7e19 vertices: refused from the closed-form count, not listed
+        p = Params(n=70, k=40, b=69)
+        assert vertex_count_formula(p) >= 2**62
+        for build in (lex_numbering, mirror_numbering):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="2\\^62"):
+                build(p)
+            assert time.perf_counter() - start < 1
+
     def test_band_keys_refuse_large_n(self):
         # n^3 < 2^63 holds up to n = 2^21 - 1
         for fn in (low_remainder_numbering, high_remainder_numbering):
@@ -282,6 +309,95 @@ def test_property_band_numbering_vs_oracle_and_scan(data):
     assert bandwidth_of_numbering(f) == bandwidth_by_edge_scan(f)
 
 
+LEX_AND_MIRROR = (
+    (lex_numbering, numbering_oracle.lex_order),
+    (mirror_numbering, numbering_oracle.mirror_order),
+)
+
+
+def sorted_class_labels(f) -> list[tuple[int, int, int, int]]:
+    return sorted(zip(*(a.tolist() for a in f.class_labels())))
+
+
+def assert_lex_and_mirror_match_oracle(p: Params, scan_limit: int = 0) -> None:
+    """Per-class (first, last) and the listed order equal the per-vertex
+    oracle's; the width equals the edge scan where |V| <= scan_limit."""
+    for build, oracle in LEX_AND_MIRROR:
+        f, expected = build(p), oracle(p)
+        assert sorted_class_labels(f) == sorted_class_labels(Numbering(p, "oracle", expected)), (
+            build.__name__,
+            p,
+        )
+        assert tuple(f.order) == expected, (build.__name__, p)
+        if len(f) <= scan_limit:
+            assert bandwidth_of_numbering(f) == bandwidth_by_edge_scan(f), (build.__name__, p)
+
+
+class TestLexAndMirrorOracle:
+    def test_grid(self):
+        count = 0
+        for k in range(1, 6):
+            for n in range(max(1, k - 1), 13):
+                for b in range(max(1, k - 1), n + 1):
+                    assert_lex_and_mirror_match_oracle(Params(n=n, k=k, b=b))
+                    count += 1
+        assert count > 250
+
+    def test_k1_palindromic_singleton(self):
+        # b < n/2: the singleton (5,) is non-central, the only palindromic
+        # vertex, and closes r0 after (0,)..(4,)
+        p = Params(n=10, k=1, b=3)
+        assert palindromic_vertex_count(p) == 1
+        assert_lex_and_mirror_match_oracle(p, scan_limit=100)
+        assert mirror_numbering(p).label((5,)) == 6
+
+    def test_edgeless(self):
+        for p in (Params(n=6, k=3, b=2), Params(n=9, k=4, b=3), Params(n=5, k=2, b=1)):
+            assert_lex_and_mirror_match_oracle(p, scan_limit=100)
+        for build, _ in LEX_AND_MIRROR:
+            assert bandwidth_of_numbering(build(Params(n=6, k=3, b=2))) == 0
+
+    def test_binomials_past_int64_pascal(self):
+        # an int64 Pascal table over x <= 80 would hold C(80, 40) ~ 1.1e23
+        p = Params(n=80, k=78, b=80)
+        for build, oracle in LEX_AND_MIRROR:
+            expected = Numbering(p, "oracle", oracle(p))
+            assert sorted_class_labels(build(p)) == sorted_class_labels(expected)
+
+    def test_palindromic_vertex_count(self):
+        for k in range(1, 5):
+            for n in range(max(1, k - 1), 16):
+                for b in range(max(1, k - 1), n + 1):
+                    p = Params(n=n, k=k, b=b)
+                    listed = sum(
+                        v[0] + v[-1] == n and not is_central(v, p) for v in enumerate_vertices(p)
+                    )
+                    assert palindromic_vertex_count(p) == listed, p
+
+    def test_widths_at_80m_vertices_within_2s(self):
+        # 80.7M vertices; both widths are k·C(b, k)
+        p = Params(n=2000, k=3, b=300)
+        for build, _ in LEX_AND_MIRROR:
+            start = time.perf_counter()
+            assert bandwidth_of_numbering(build(p)) == 13365300 == lex_upper_bound_value(p)
+            assert time.perf_counter() - start < 2
+
+
+def _lex_mirror_bs(n: int, k: int, max_vertices: int) -> list[int]:
+    """Every b of G(n, k, b) with at most max_vertices vertices."""
+    bs = range(max(1, k - 1), n + 1)
+    return [b for b in bs if vertex_count_formula(Params(n=n, k=k, b=b)) <= max_vertices]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_property_lex_and_mirror_vs_oracle_and_scan(data):
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    n = data.draw(st.integers(min_value=max(1, k - 1), max_value=30))
+    b = data.draw(st.sampled_from(_lex_mirror_bs(n, k, 5000)))
+    assert_lex_and_mirror_match_oracle(Params(n=n, k=k, b=b), scan_limit=600)
+
+
 class TestLex:
     def test_order_is_sorted_enumeration(self):
         for p in (Params(n=7, k=2, b=3), Params(n=6, k=3, b=4)):
@@ -306,7 +422,7 @@ class TestLex:
 class TestMirror:
     def test_partition_shape(self):
         for p in (Params(n=8, k=2, b=5), Params(n=9, k=3, b=6), Params(n=7, k=2, b=3)):
-            part = mirror_partition(p)
+            part = numbering_oracle.mirror_partition(p)
             m = vertex_count_formula(p)
             assert len(part.r0) + len(part.central) + len(part.r1) == m
             assert len(part.central) == central_count(p)
@@ -316,7 +432,7 @@ class TestMirror:
 
     def test_blocks_are_ordered(self):
         p = Params(n=8, k=2, b=5)
-        part = mirror_partition(p)
+        part = numbering_oracle.mirror_partition(p)
         f = mirror_numbering(p)
         assert list(f.order) == list(part.r0) + list(part.central) + list(part.r1)
         # r0 ascending lex; r1 ascending reversed-tuple lex
