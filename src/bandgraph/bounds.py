@@ -28,6 +28,7 @@ __all__ = [
     "BetaDecomposition",
     "Coefficients",
     "beta_decomposition",
+    "exact_fraction",
     "exact_bandwidth_large_b",
     "central_lower_bound",
     "lex_upper_bound_value",
@@ -58,15 +59,23 @@ class BetaDecomposition:
         assert self.q >= 2
 
 
+def exact_fraction(x: Fraction | int | str) -> Fraction:
+    """``Fraction(x)``, refusing a float: no float may take part in a
+    decision.  numpy's float64 is a float; its other floats are not
+    Rational, and ``Fraction`` refuses them too."""
+    if isinstance(x, float):
+        raise TypeError(f"exact arithmetic takes an int, a Fraction or a string, got {x!r}")
+    return Fraction(x)
+
+
 def beta_decomposition(beta: Fraction | int | str) -> BetaDecomposition:
     """Decompose beta in (0, 1/2] as 1 = q*beta + r and classify the regime."""
-    beta = Fraction(beta)
+    beta = exact_fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ValueError(f"beta must lie in (0, 1/2], got {beta}")
     q = int(Fraction(1) / beta)  # floor, exact for integral 1/beta
     r = 1 - q * beta
-    threshold = Fraction(q - 1, q * q + q - 1)
-    regime = "low" if r <= threshold else "high"
+    regime = "low" if r <= Fraction(q - 1, q * q + q - 1) else "high"
     return BetaDecomposition(beta=beta, q=q, r=r, regime=regime)
 
 
@@ -103,9 +112,7 @@ def asymptotic_coefficient_interval(
     co = coefficients(dec.beta, k)
     if dec.regime == "low":
         return co.c1, co.c1
-    lower = max(co.c1, co.c2 + co.c3 / dec.q ** (k - 1))
-    upper = co.c2 + co.c3
-    return lower, upper
+    return max(co.c1, co.c2 + co.c3 / dec.q ** (k - 1)), co.c2 + co.c3
 
 
 # ── finite-n values and bounds ────────────────────────────────────────
@@ -157,13 +164,10 @@ def unresolved_beta_measure(q_max: int) -> Fraction:
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
 
-    def term(q: int) -> Fraction:
-        return Fraction(1, (q * q + q - 1) * (q + 1))
-
     def total(lo: int, hi: int) -> Fraction:
         # pairwise summation keeps intermediate denominators balanced
         if hi - lo == 1:
-            return term(lo)
+            return Fraction(1, (lo * lo + lo - 1) * (lo + 1))
         mid = (lo + hi) // 2
         return total(lo, mid) + total(mid, hi)
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 check failure, 2 usage/config/parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from fractions import Fraction
@@ -325,18 +326,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    rows = [
-        sweep_row(k, n, b, method)
-        for k in ks
-        for (n, b) in instances
-        for method in methods
-    ]
+    try:
+        out = open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        print(f"error: cannot write {output}: {e.strerror}", file=sys.stderr)
+        return 2
+    with out as f:
+        rows = [sweep_row(k, n, b, m) for k in ks for (n, b) in instances for m in methods]
+        _write_csv(f, rows)
     if output:
-        with open(output, "w", newline="") as f:
-            _write_csv(f, rows)
         print(f"wrote {len(rows)} rows to {output}", file=sys.stderr)
-    else:
-        _write_csv(sys.stdout, rows)
     return 0
 
 

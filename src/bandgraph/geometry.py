@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BetaDecomposition, beta_decomposition, coefficients
+from .bounds import BetaDecomposition, beta_decomposition, coefficients, exact_fraction
 from .core_graph import class_size
 
 __all__ = [
@@ -53,7 +53,7 @@ class RatPoint:
 
 
 def _pt(x, y) -> RatPoint:
-    return RatPoint(Fraction(x), Fraction(y))
+    return RatPoint(exact_fraction(x), exact_fraction(y))
 
 
 def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
@@ -85,7 +85,7 @@ def omega_polygon() -> Polygon:
 
 def band_polygon(beta) -> Polygon:
     """The band 0 <= y - x <= beta inside the domain triangle."""
-    beta = Fraction(beta)
+    beta = exact_fraction(beta)
     return Polygon([(0, 0), (1, 1), (1 - beta, 1), (0, beta)])
 
 
@@ -240,9 +240,7 @@ def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> None:
     m = len(pts)
     for i in range(m):
         a1, a2 = pts[i], pts[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
+        for j in range(i + 2, m - (i == 0)):  # edges i and j share no corner
             b1, b2 = pts[j], pts[(j + 1) % m]
             if _segments_properly_cross(a1, a2, b1, b2):
                 raise GeometryError("polygon edges cross; polygon must be simple")
@@ -281,7 +279,7 @@ def trapezoid_measure(s, t, u, v, k: int) -> Fraction:
            = 1/(k-2)! * 1/(t-s) * ((v-u)(t^k - s^k)/k
                                     + (t*u - s*v)(t^(k-1) - s^(k-1))/(k-1)).
     """
-    s, t, u, v = Fraction(s), Fraction(t), Fraction(u), Fraction(v)
+    s, t, u, v = map(exact_fraction, (s, t, u, v))
     if k < 2:
         raise GeometryError("measure needs k >= 2")
     if s >= t:
@@ -462,6 +460,8 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices.
     Membership tests are exact; the boundary counts as inside.
     """
+    if n < 1 or k < 1:
+        raise GeometryError(f"lattice counts need n >= 1 and k >= 1, got n = {n}, k = {k}")
     pts = poly.cleaned()
     if len(pts) < 3:
         return 0

@@ -16,10 +16,11 @@ Four constructions are provided:
   Their bandwidths track the asymptotic coefficients c1 (low) and
   c2+c3 (high) times n^k.
 
-Only custom numberings are explicit vertex orders.  The library
-numberings give each span class (min, max) its smallest and largest
-label, computed for the O(n·b) classes at once, and list their vertex
-order only on demand.
+Every numbering stores each span class (min, max) with its smallest
+and largest label.  Only custom numberings are explicit vertex orders,
+which the table is gathered from.  The library numberings compute it
+for the O(n·b) classes at once and list their vertex order only on
+demand.
 
 * The band numberings place a vertex X by the integer point
   (min(X), max(X)) alone, so they order the classes and give each class
@@ -49,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .core_graph import (
     are_adjacent,
     class_size,
     enumerate_vertices,
+    is_vertex,
     span_classes,
     vertex_count_formula,
 )
@@ -85,68 +86,31 @@ class Numbering:
     """A proper numbering of G(n, k, b) with labels 1..|V|.
 
     Built from an explicit vertex order (``order[i]`` carries label i+1),
-    or from ``classes``, every span class once, in one of two shapes:
-
-    * ``(lo, hi)``, the classes in label order: each class takes the next
-      ``class_size`` labels, its vertices in lex order;
-    * ``(lo, hi, first, last)``, each class's smallest and largest label,
-      with ``lister``, a function of no arguments that lists the vertex
-      order.
-
-    Either way ``order`` is listed on first use.
+    or from ``classes=(lo, hi, first, last)``, every span class once with
+    its smallest and largest label, and ``lister``, a function of no
+    arguments that lists the vertex order on first use of ``order``.
+    Either way the per-class label table is set at construction.
     """
 
     def __init__(self, params: Params, tag: str, order=None, *, classes=None, lister=None) -> None:
         if (order is None) == (classes is None):
             raise TypeError("give exactly one of order and classes")
-        self.params = params
-        self.tag = tag
+        if (classes is None) != (lister is None):
+            raise TypeError("per-class labels need a lister, and an order takes none")
+        self.params, self.tag, self._lister = params, tag, lister
         if classes is None:
-            self._order: tuple[Vertex, ...] | None = tuple(order)
-            self._ends = _check_order(self._order, params)
-            self._size = len(self._order)
-            self._class_labels = None
-            return
-        lo, hi, *labels = (np.asarray(a, dtype=np.int64) for a in classes)
-        sizes = _check_classes(lo, hi, params)
-        self._order = None
-        self._size = vertex_count_formula(params)
-        if labels:
-            if lister is None:
-                raise TypeError("per-class labels need a lister")
-            first, last = labels
-            if first.shape != lo.shape or last.shape != lo.shape:
-                raise ValueError("labels must be two arrays as long as the classes")
-            if ((first < 1) | (last - first < sizes - 1) | (last > self._size)).any():
-                raise ValueError("a class's labels do not fit its size within 1..|V|")
+            self.order = tuple(order)
+            self._class_labels = _order_classes(self.order, params)
         else:
-            last = np.cumsum(sizes)
-            first = last - sizes + 1
-            lister = lambda: _class_members(_binomials(params), lo, hi, params.k).T.tolist()
-        self._lister = lister
-        self._class_labels = (lo, hi, first, last)
+            self._class_labels = _check_classes(classes, params)
+        self._size = vertex_count_formula(params)
 
-    @property
+    @cached_property
     def order(self) -> tuple[Vertex, ...]:
-        if self._order is None:
-            self._order = tuple(map(tuple, self._lister()))
-        return self._order
+        return tuple(map(tuple, self._lister()))
 
     def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, min label, max label) of every span class."""
-        if self._class_labels is None:
-            p, m = self.params, self._size
-            width = p.b + 1
-            lo, hi = self._ends.T
-            cell = lo * width + (hi - lo)
-            labels = np.arange(1, m + 1, dtype=np.int64)
-            top = np.zeros((p.n + 1) * width, dtype=np.int64)
-            bottom = np.full_like(top, m + 1)
-            np.maximum.at(top, cell, labels)
-            np.minimum.at(bottom, cell, labels)
-            occ = np.flatnonzero(top)
-            lo = occ // width
-            self._class_labels = (lo, lo + occ % width, bottom[occ], top[occ])
         return self._class_labels
 
     @cached_property
@@ -159,52 +123,47 @@ class Numbering:
     def __len__(self) -> int:
         return self._size
 
+    def _sorted_class_labels(self) -> np.ndarray:
+        """The label table as a (4, classes) array, classes by (lo, hi)."""
+        table = np.stack(self._class_labels)
+        return table[:, np.lexsort(table[1::-1])]
+
     def __eq__(self, other: object) -> bool:
+        """Equal params, tags and label tables; where either side is an
+        explicit order, equal orders too, as a table leaves the order
+        within a class open."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.params, self.tag, self.order) == (other.params, other.tag, other.order)
+        return (
+            (self.params, self.tag) == (other.params, other.tag)
+            and np.array_equal(self._sorted_class_labels(), other._sorted_class_labels())
+            and (None not in (self._lister, other._lister) or self.order == other.order)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.params, self.tag, self.order))
+        return hash((self.params, self.tag))
 
     def __repr__(self) -> str:
         return f"Numbering(params={self.params}, tag={self.tag!r}, |V|={self._size})"
 
 
-def _check_order(order: tuple, p: Params) -> np.ndarray:
-    """Check that ``order`` lists every vertex once; return (min, max) of
-    each entry, shape (|V|, 2)."""
-    m, k = len(order), p.k
+def _order_classes(order: tuple, p: Params) -> tuple[np.ndarray, ...]:
+    """Check that ``order`` lists every vertex once; return the
+    (lo, hi, min label, max label) of every span class."""
+    m = len(order)
     expected = vertex_count_formula(p)
     if m != expected:
         raise ValueError(f"numbering has {m} entries, graph has {expected} vertices")
     if len(set(order)) != expected:
         raise ValueError("numbering repeats a vertex")
-    # The entries before the first one of another length than k, or with an
-    # element outside int64 (never a vertex), form an array.
-    (wrong,) = np.nonzero(np.fromiter(map(len, order), dtype=np.int64, count=m) != k)
-    stop = int(wrong[0]) if wrong.size else m
-    try:
-        rows = _int64_rows(order[:stop], k)
-    except OverflowError:
-        stop = next(i for i, v in enumerate(order) if not all(map(_fits_int64, v)))
-        rows = _int64_rows(order[:stop], k)
-    lo, hi = rows[:, 0], rows[:, -1]
-    bad = (lo < 0) | (hi > p.n) | (hi - lo > p.b) | (np.diff(rows, axis=1) <= 0).any(axis=1)
-    (bad_at,) = np.nonzero(bad)
-    if bad_at.size or stop < m:
-        v = order[int(bad_at[0]) if bad_at.size else stop]
-        raise ValueError(f"{v} is not a vertex of G{p}")
-    return rows[:, [0, -1]]
-
-
-def _int64_rows(entries: tuple, k: int) -> np.ndarray:
-    flat = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=len(entries) * k)
-    return flat.reshape(len(entries), k)
-
-
-def _fits_int64(x: int) -> bool:
-    return -(2**63) <= x < 2**63
+    labels: dict[tuple[int, int], list[int]] = {}  # class -> [first, last]
+    for label, v in enumerate(order, 1):
+        if not is_vertex(v, p):
+            raise ValueError(f"{v} is not a vertex of G{p}")
+        labels.setdefault((v[0], v[-1]), [label, label])[1] = label
+    lo, hi = np.array(list(labels), dtype=np.int64).T
+    first, last = np.array(list(labels.values()), dtype=np.int64).T
+    return lo, hi, first, last
 
 
 def _vertex_total(p: Params) -> int:
@@ -220,22 +179,28 @@ def _class_sizes(p: Params) -> np.ndarray:
     return np.array([class_size(0, d, p.k) for d in range(p.b + 1)], dtype=np.int64)
 
 
-def _check_classes(lo: np.ndarray, hi: np.ndarray, p: Params) -> np.ndarray:
-    """Check that (lo, hi) lists every span class once; return the sizes."""
+def _check_classes(classes, p: Params) -> tuple[np.ndarray, ...]:
+    """Check that ``classes`` = (lo, hi, first, last) lists every span
+    class once, with labels that fit its size within 1..|V|; return them
+    as int64 arrays."""
     total = _vertex_total(p)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError("classes must be two 1-d arrays of equal length")
+    lo, hi, first, last = (np.asarray(a, dtype=np.int64) for a in classes)
+    if lo.ndim != 1 or any(a.shape != lo.shape for a in (hi, first, last)):
+        raise ValueError("classes must be four 1-d arrays of equal length")
     span = hi - lo
-    if ((lo < 0) | (hi > p.n) | (span < 0) | (span > p.b)).any():
+    if lo.size and (lo.min() < 0 or hi.max() > p.n or span.min() < 0 or span.max() > p.b):
         raise ValueError(f"a class lies outside 0 <= lo <= hi <= n, hi - lo <= b of G{p}")
     sizes = _class_sizes(p)[span]
-    if (sizes == 0).any():
+    if not sizes.all():
         raise ValueError(f"a class of G{p} holds no vertex")
     if lo.size and np.bincount(lo * (p.b + 1) + span).max() > 1:
         raise ValueError("numbering repeats a span class")
     if int(sizes.sum()) != total:
         raise ValueError(f"classes hold {int(sizes.sum())} vertices, graph has {total}")
-    return sizes
+    # nonempty here, as the sizes add up to |V| >= 1
+    if first.min() < 1 or last.max() > total or (last - first + 1 - sizes).min() < 0:
+        raise ValueError("a class's labels do not fit its size within 1..|V|")
+    return lo, hi, first, last
 
 
 def custom_numbering(p: Params, order) -> Numbering:
@@ -600,13 +565,22 @@ def _exact_position(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
 
 
 def _band_numbering(p: Params, tag: str, lo, d, block, position) -> Numbering:
-    """Order the classes by (block, position, d) and label them in turn.
+    """Order the classes by (block, position, d) and give each the next
+    class_size labels, its vertices in lex order.
 
     Distinct classes never tie: within a block and a span d, the
     position is strictly increasing in lo.
     """
+    _vertex_total(p)  # before the int64 class sizes
     perm = np.lexsort((d, position, block))
-    return Numbering(p, tag, classes=(lo[perm], lo[perm] + d[perm]))
+    lo, d = lo[perm], d[perm]
+    hi, sizes = lo + d, _class_sizes(p)[d]
+    last = np.cumsum(sizes)
+
+    def lister():
+        return _class_members(_binomials(p), lo, hi, p.k).T.tolist()
+
+    return Numbering(p, tag, classes=(lo, hi, last - sizes + 1, last), lister=lister)
 
 
 def low_remainder_numbering(p: Params) -> Numbering:

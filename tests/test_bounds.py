@@ -8,6 +8,7 @@ c3 = (beta-r)^k/((q+1)k!) * q^(k-1).
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,12 @@ class TestBetaDecomposition:
             beta_decomposition(Fraction(0))
         with pytest.raises(ValueError):
             beta_decomposition(Fraction(-1, 4))
+
+    @pytest.mark.parametrize("beta", [0.45, np.float64(0.45), np.float32(0.45), 0.5])
+    def test_refuses_floats(self, beta):
+        # 0.45 is 8106479329266893/2^54, not 9/20
+        with pytest.raises(TypeError):
+            beta_decomposition(beta)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -137,6 +137,16 @@ class TestSweep:
         assert content.startswith(HEADER + "\n")
         assert len(content.splitlines()) == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.csv"
+        argv = ["sweep", "--k", "2", "--n", "10", "--b", "3", "--method", "lex"]
+        assert main([*argv, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+        assert captured.out == ""
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_beta_mode_requires_integral_b(self, capsys):
         argv = ["sweep", "--k", "2", "--beta", "1/3", "--n", "10,20", "--method", "lex"]
         assert main(argv) == 2

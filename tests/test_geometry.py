@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bandgraph.bounds import beta_decomposition
@@ -96,6 +97,16 @@ class TestPolygonBasics:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             polygon_measure(omega_polygon(), 1)
+
+    @pytest.mark.parametrize("x", [0.25, np.float64(0.25), np.float32(0.25)])
+    def test_points_refuse_floats(self, x):
+        with pytest.raises(TypeError):
+            Polygon([(0, 0), (x, 1), (0, 1)])
+
+    @pytest.mark.parametrize("beta", [0.45, np.float64(0.45), np.float32(0.45)])
+    def test_band_refuses_float_beta(self, beta):
+        with pytest.raises(TypeError):
+            band_polygon(beta)
 
 
 class TestMeasure:
@@ -189,6 +200,11 @@ class TestTrapezoid:
             trapezoid_measure(F(1, 2), F(1, 2), F(1, 2), F(3, 4), 2)
         with pytest.raises(ValueError):
             trapezoid_measure(F(3, 4), F(1, 4), F(3, 4), F(3, 4), 2)
+
+    def test_refuses_floats(self):
+        for t in (0.45, np.float64(0.45), np.float32(0.45)):
+            with pytest.raises(TypeError):
+                trapezoid_measure(F(0), t, F(1, 10), F(1, 5), 2)
 
 
 class TestLandmarks:
@@ -292,6 +308,11 @@ class TestRegionCount:
     def test_omega_counts_all_vertices(self):
         for n, k in ((8, 2), (8, 3), (10, 2), (6, 4)):
             assert region_vertex_count(omega_polygon(), n, k) == math.comb(n + 1, k)
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (-3, 2), (10, 0), (10, -1)])
+    def test_refuses_n_or_k_below_1(self, n, k):
+        with pytest.raises(GeometryError, match="n >= 1 and k >= 1"):
+            region_vertex_count(band_polygon(F(1, 4)), n, k)
 
     def test_band_counts_formula(self):
         for n, k, b in ((10, 2, 3), (12, 3, 5), (9, 2, 4), (12, 4, 7)):

@@ -136,6 +136,27 @@ class TestConstructionValidation:
         assert f != custom_numbering(p, f.order)
         assert lex_numbering(p) != mirror_numbering(p)
 
+    def test_equality_reads_the_class_tables(self):
+        # 1.65M vertices each: compared without listing either order
+        p = Params(n=400, k=3, b=100)
+        f, g = lex_numbering(p), lex_numbering(p)
+        start = time.perf_counter()
+        assert f == g and hash(f) == hash(g)
+        assert time.perf_counter() - start < 0.1
+        assert "order" not in vars(f) and "order" not in vars(g)
+
+    def test_explicit_orders_differ_inside_a_class(self):
+        # (0, 1, 3) and (0, 2, 3) share the class (0, 3), so one table
+        p = Params(n=6, k=3, b=3)
+        order = list(enumerate_vertices(p))
+        i, j = order.index((0, 1, 3)), order.index((0, 2, 3))
+        order[i], order[j] = order[j], order[i]
+        f, g = lex_numbering(p), custom_numbering(p, order)
+        assert sorted_class_labels(f) == sorted_class_labels(g)
+        assert custom_numbering(p, f.order) != g
+        assert f != Numbering(p, "lex", order)
+        assert f == Numbering(p, "lex", f.order)
+
     def test_label_lookup(self):
         p = Params(n=5, k=2, b=3)
         f = lex_numbering(p)
@@ -147,66 +168,65 @@ class TestClassValidation:
     P = Params(n=6, k=3, b=3)
 
     def classes(self):
-        f = low_remainder_numbering(self.P)
-        lo, hi, _, _ = f.class_labels()
-        return list(lo), list(hi)
+        """The (lo, hi, first, last) columns of a valid table, as lists."""
+        return [list(a) for a in low_remainder_numbering(self.P).class_labels()]
 
-    def test_accepts_all_classes(self):
-        lo, hi = self.classes()
-        f = Numbering(self.P, "t", classes=(lo[::-1], hi[::-1]))
-        assert len(f) == vertex_count_formula(self.P)
-        assert set(f.order) == set(enumerate_vertices(self.P))
+    def build(self, classes):
+        return Numbering(self.P, "t", classes=classes, lister=list)
 
     def test_rejects_missing_class(self):
-        lo, hi = self.classes()
         with pytest.raises(ValueError, match="classes hold"):
-            Numbering(self.P, "t", classes=(lo[1:], hi[1:]))
+            self.build([a[1:] for a in self.classes()])
 
     def test_rejects_repeated_class(self):
-        lo, hi = self.classes()
         with pytest.raises(ValueError, match="repeats a span class"):
-            Numbering(self.P, "t", classes=(lo + lo[:1], hi + hi[:1]))
+            self.build([a + a[:1] for a in self.classes()])
 
     @pytest.mark.parametrize("cls", [(-1, 1), (5, 7), (0, 4), (3, 2)])
     def test_rejects_out_of_range(self, cls):
-        lo, hi = self.classes()
+        lo, hi, first, last = self.classes()
         lo[0], hi[0] = cls
         with pytest.raises(ValueError, match="outside"):
-            Numbering(self.P, "t", classes=(lo, hi))
+            self.build((lo, hi, first, last))
 
     def test_rejects_empty_class(self):
-        lo, hi = self.classes()
-        lo.append(0)
-        hi.append(1)  # span 1 < k-1: no vertex
+        # span 1 < k-1: no vertex
+        classes = [a + [x] for a, x in zip(self.classes(), (0, 1, 1, 1))]
         with pytest.raises(ValueError, match="holds no vertex"):
-            Numbering(self.P, "t", classes=(lo, hi))
+            self.build(classes)
 
     def test_rejects_shape_mismatch(self):
-        lo, hi = self.classes()
-        with pytest.raises(ValueError, match="equal length"):
-            Numbering(self.P, "t", classes=(lo, hi[1:]))
+        for column in range(4):
+            classes = self.classes()
+            classes[column] = classes[column][1:]
+            with pytest.raises(ValueError, match="equal length"):
+                self.build(classes)
 
     def test_needs_exactly_one_source(self):
+        order = list(enumerate_vertices(self.P))
         with pytest.raises(TypeError):
             Numbering(self.P, "t")
         with pytest.raises(TypeError):
-            Numbering(self.P, "t", (), classes=([], []))
+            Numbering(self.P, "t", order, classes=self.classes(), lister=list)
+        with pytest.raises(TypeError, match="lister"):
+            Numbering(self.P, "t", classes=self.classes())
+        with pytest.raises(TypeError, match="lister"):
+            Numbering(self.P, "t", order, lister=list)
 
     def test_per_class_labels(self):
-        lo, hi = self.classes()
         f = low_remainder_numbering(self.P)
-        _, _, first, last = f.class_labels()
-        g = Numbering(self.P, "t", classes=(lo, hi, first, last), lister=lambda: f.order)
+        g = Numbering(self.P, "t", classes=f.class_labels(), lister=lambda: f.order)
         assert g.order == f.order
         assert bandwidth_of_numbering(g) == bandwidth_of_numbering(f)
-        with pytest.raises(TypeError, match="lister"):
-            Numbering(self.P, "t", classes=(lo, hi, first, last))
-        with pytest.raises(ValueError, match="as long as the classes"):
-            Numbering(self.P, "t", classes=(lo, hi, first[1:], last), lister=list)
+        lo, hi, first, last = self.classes()
         too_far = last.copy()
         too_far[0] = len(f) + 1
         with pytest.raises(ValueError, match="do not fit"):
-            Numbering(self.P, "t", classes=(lo, hi, first, too_far), lister=list)
+            self.build((lo, hi, first, too_far))
+        too_narrow = first.copy()
+        too_narrow[int(np.argmax(np.subtract(last, first)))] = max(last)
+        with pytest.raises(ValueError, match="do not fit"):
+            self.build((lo, hi, too_narrow, last))
 
 
 class TestInt64Refusals:
@@ -232,7 +252,7 @@ class TestInt64Refusals:
         with pytest.raises(ValueError, match="2\\^62"):
             low_remainder_numbering(p)
         with pytest.raises(ValueError, match="2\\^62"):
-            Numbering(p, "t", classes=([0], [59]))
+            Numbering(p, "t", classes=([0], [59], [1], [1]), lister=list)
 
 
 class TestExactPosition:

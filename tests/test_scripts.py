@@ -1,0 +1,22 @@
+"""Smoke tests for the scripts under ``scripts/``."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_measure_report_identities_pass(capsys):
+    measure_report = load_script("measure_report")
+    assert measure_report.main(["--beta", "7/20", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "identity checks (exact rational):" in out
+    checks = [line for line in out.splitlines() if line.startswith("  [")]
+    assert checks and all(line.startswith("  [ok ] ") for line in checks)
