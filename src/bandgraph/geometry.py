@@ -9,8 +9,15 @@ because a lattice point (i, j) carries C(j-i-1, k-2) vertices.  This
 module computes mu exactly (Fractions end to end), provides the
 landmark points that the band-decomposition numberings and coefficient
 identities are built from, verifies those identities symbolically, and
-counts lattice vertices inside arbitrary polygons for the convergence
-experiments.
+counts lattice vertices inside arbitrary simple polygons for the
+convergence experiments.
+
+Counts go column by column: column x = i/n meets the closed polygon in
+closed runs of y, found from the exact edge crossings; a run admits an
+interval of j, and C(j-i-1, k-2) sums over it in closed form (hockey
+stick).  That is O(n·E²) exact operations for E edges, where a
+per-point test would take O(n²·E); the per-point test is the oracle in
+``tests/geometry_oracle.py``.  No float takes part in any decision.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BetaDecomposition, beta_decomposition, coefficients, exact_fraction
-from .core_graph import class_size
+from .core_graph import comb0
 
 __all__ = [
     "GeometryError",
@@ -428,29 +435,49 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 # ── lattice counting ──────────────────────────────────────────────────
 
 
-def _point_on_boundary(px: Fraction, py: Fraction, pts: tuple[RatPoint, ...]) -> bool:
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        if _cross((b.x - a.x, b.y - a.y), (px - a.x, py - a.y)) != 0:
+def _column_runs(edges, x: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Closed runs [y0, y1] in which the vertical line through x meets
+    the closed polygon with these edges, bottom to top.
+
+    The line meets the boundary at the crossings of the edges that span
+    x, and along any edge lying on it; every other point of the line is
+    off the boundary.  So between two consecutive boundary values y the
+    open gap is inside or outside as a whole: inside when an edge on the
+    line covers it, or when the even-odd rule counts an odd number of
+    edge crossings above it (an upward ray from any point of the gap;
+    an edge counts when exactly one endpoint has x' <= x, which settles
+    rays through corners and along edges on the line).
+    """
+    ys: set[Fraction] = set()
+    on_line: list[tuple[Fraction, Fraction]] = []
+    crossings: list[Fraction] = []
+    for a, b in edges:
+        if a.x == b.x:
+            if a.x == x:
+                ys.update((a.y, b.y))
+                on_line.append((min(a.y, b.y), max(a.y, b.y)))
             continue
-        if min(a.x, b.x) <= px <= max(a.x, b.x) and min(a.y, b.y) <= py <= max(a.y, b.y):
-            return True
-    return False
+        if min(a.x, b.x) <= x <= max(a.x, b.x):
+            y = a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
+            ys.add(y)
+            if (a.x <= x) != (b.x <= x):
+                crossings.append(y)
+    levels = sorted(ys)
+    runs = [(y, y) for y in levels[:1]]
+    for y0, y1 in zip(levels, levels[1:]):
+        if any(c0 <= y0 and y1 <= c1 for c0, c1 in on_line) or sum(c >= y1 for c in crossings) % 2:
+            runs[-1] = (runs[-1][0], y1)
+        else:
+            runs.append((y1, y1))
+    return runs
 
 
-def _point_strictly_inside(px: Fraction, py: Fraction, pts: tuple[RatPoint, ...]) -> bool:
-    """Even-odd test with an upward ray; boundary points must be handled first."""
-    inside = False
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        if (a.y <= py) == (b.y <= py):
-            continue
-        x_int = a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y)
-        if px < x_int:
-            inside = not inside
-    return inside
+def _span_sum(i: int, lo: int, hi: int, k: int) -> int:
+    """Vertices with min = i and max in lo..hi, for i <= lo <= hi:
+    the sum of C(j-i-1, k-2) over j, by the hockey-stick identity."""
+    if k == 1:
+        return int(lo == i)
+    return comb0(hi - i, k - 1) - comb0(lo - 1 - i, k - 1)
 
 
 def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
@@ -458,7 +485,11 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     closed polygon.
 
     Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices.
-    Membership tests are exact; the boundary counts as inside.
+    The count goes column by column: column x = i/n meets the polygon in
+    closed runs of y (``_column_runs``), each run admits the j between
+    the integer ceil and floor of its ends times n, and those sum in
+    closed form.  That is O(n·E²) exact rational operations for E edges;
+    the boundary counts as inside.
     """
     if n < 1 or k < 1:
         raise GeometryError(f"lattice counts need n >= 1 and k >= 1, got n = {n}, k = {k}")
@@ -466,20 +497,13 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     if len(pts) < 3:
         return 0
     _validate_simple_in_domain(pts)
+    edges = list(zip(pts, pts[1:] + pts[:1]))
     xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    i_lo = max(0, math.ceil(min(xs) * n))
-    i_hi = min(n, math.floor(max(xs) * n))
     total = 0
-    for i in range(i_lo, i_hi + 1):
-        px = Fraction(i, n)
-        j_lo = max(i, math.ceil(min(ys) * n))
-        j_hi = min(n, math.floor(max(ys) * n))
-        for j in range(j_lo, j_hi + 1):
-            size = class_size(i, j, k)
-            if size == 0:
-                continue
-            py = Fraction(j, n)
-            if _point_on_boundary(px, py, pts) or _point_strictly_inside(px, py, pts):
-                total += size
+    for i in range(max(0, math.ceil(min(xs) * n)), min(n, math.floor(max(xs) * n)) + 1):
+        for y0, y1 in _column_runs(edges, Fraction(i, n)):
+            lo = max(i, math.ceil(y0 * n))
+            hi = min(n, math.floor(y1 * n))
+            if lo <= hi:
+                total += _span_sum(i, lo, hi, k)
     return total

@@ -181,8 +181,9 @@ def _class_sizes(p: Params) -> np.ndarray:
 
 def _check_classes(classes, p: Params) -> tuple[np.ndarray, ...]:
     """Check that ``classes`` = (lo, hi, first, last) lists every span
-    class once, with labels that fit its size within 1..|V|; return them
-    as int64 arrays."""
+    class once, with labels that fit its size within 1..|V| and no label
+    the first, or the last, of two classes (in a bijection each label
+    has one vertex, in one class); return them as int64 arrays."""
     total = _vertex_total(p)
     lo, hi, first, last = (np.asarray(a, dtype=np.int64) for a in classes)
     if lo.ndim != 1 or any(a.shape != lo.shape for a in (hi, first, last)):
@@ -200,6 +201,12 @@ def _check_classes(classes, p: Params) -> tuple[np.ndarray, ...]:
     # nonempty here, as the sizes add up to |V| >= 1
     if first.min() < 1 or last.max() > total or (last - first + 1 - sizes).min() < 0:
         raise ValueError("a class's labels do not fit its size within 1..|V|")
+    for labels, end in ((first, "first"), (last, "last")):
+        # band tables arrive in label order, which settles them in one pass
+        if (labels[1:] <= labels[:-1]).any():
+            ordered = np.sort(labels)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError(f"two classes share their {end} label; no numbering does")
     return lo, hi, first, last
 
 

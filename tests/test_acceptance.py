@@ -69,7 +69,7 @@ def test_criterion_05_exact_rational_identities():
 
 
 def test_criterion_06_lattice_count_convergence():
-    result = run_one("counts", 60)
+    result = run_one("counts", 5)
     assert result.passed, result.failures()
 
 

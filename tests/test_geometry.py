@@ -2,15 +2,21 @@
 
 Oracles: the shoelace formula for k = 2 (where the measure is plain
 area), closed-form measures of axis-aligned shapes, and brute-force
-lattice enumeration for region_vertex_count.
+lattice enumeration for region_vertex_count: a convex-hull test here,
+and the per-point boundary and even-odd tests of geometry_oracle.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import geometry_oracle
 
 from bandgraph.bounds import beta_decomposition
 from bandgraph.core_graph import Params, class_size, vertex_count_formula
@@ -279,6 +285,46 @@ class TestIdentities:
         assert any("chain" in c.name for c in high.checks)
 
 
+def _angle_order(u, v) -> int:
+    """Counterclockwise order of directions u, v, starting at angle 0."""
+    half_u = not (u[1] > 0 or (u[1] == 0 and u[0] > 0))
+    half_v = not (v[1] > 0 or (v[1] == 0 and v[0] > 0))
+    if half_u != half_v:
+        return -1 if half_v else 1
+    cross = u[0] * v[1] - u[1] * v[0]
+    return -1 if cross > 0 else int(cross < 0)
+
+
+@st.composite
+def lattice_star_polygons(draw):
+    """(vertices, n): a simple polygon, in general not convex, with
+    corners on the grid of step 1/n or 1/(2n) in the domain triangle.
+
+    The corners are sorted by angle around their centroid, keeping the
+    farthest one in each direction.  The centroid of points that are not
+    all collinear is interior to their hull, so consecutive corners are
+    less than a half turn apart and the polygon is star-shaped.  The grid
+    puts corners on lattice points and columns, and edges on columns
+    (vertical) and rows (horizontal); the winding is drawn too.
+    """
+    n = draw(st.integers(1, 12))
+    d = n * draw(st.sampled_from((1, 2)))
+    cells = st.tuples(st.integers(0, d), st.integers(0, d)).map(sorted)
+    pts = [(F(x, d), F(y, d)) for x, y in draw(st.lists(cells, min_size=3, max_size=8))]
+    cx = sum(x for x, _ in pts) / len(pts)
+    cy = sum(y for _, y in pts) / len(pts)
+    farthest = {}
+    for x, y in pts:
+        u = (x - cx, y - cy)
+        reach = max(abs(u[0]), abs(u[1]))
+        if reach and farthest.get((u[0] / reach, u[1] / reach), (0,))[0] < reach:
+            farthest[(u[0] / reach, u[1] / reach)] = (reach, (x, y))
+    assume(len(farthest) >= 3)
+    order = sorted(farthest, key=functools.cmp_to_key(_angle_order))
+    vertices = [farthest[u][1] for u in order]
+    return (vertices[::-1] if draw(st.booleans()) else vertices), n
+
+
 def convex_position(hull_ccw, x, y) -> str:
     """'in', 'on', or 'out' for a point against a CCW convex polygon."""
     on = False
@@ -345,6 +391,29 @@ class TestRegionCount:
                         hull, n, k, True
                     )
             done += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_star_polygons(), st.integers(1, 4))
+    @example((omega_polygon().vertices, 7), 3)
+    # a C opening to the right: vertical and horizontal edges on the
+    # lattice, and two runs in the columns 1/4 < x <= 1/2
+    @example(
+        (
+            [(0, F(1, 4)), (F(1, 2), F(1, 2)), (F(1, 2), F(5, 8)), (F(1, 4), F(5, 8)),
+             (F(1, 4), F(3, 4)), (F(1, 2), F(3, 4)), (F(1, 2), 1), (0, 1)],
+            8,
+        ),
+        2,
+    )
+    def test_matches_per_point_oracle(self, case, k):
+        vertices, n = case
+        poly = Polygon(vertices)
+        assert region_vertex_count(poly, n, k) == geometry_oracle.region_vertex_count(poly, n, k)
+
+    def test_refuses_self_crossing(self):
+        bowtie = Polygon([(0, 0), (F(1, 2), 1), (0, 1), (F(1, 2), F(1, 2))])
+        with pytest.raises(GeometryError, match="simple"):
+            region_vertex_count(bowtie, 8, 2)
 
     def test_riemann_convergence_direction(self):
         beta = F(2, 5)

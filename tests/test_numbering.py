@@ -228,6 +228,18 @@ class TestClassValidation:
         with pytest.raises(ValueError, match="do not fit"):
             self.build((lo, hi, too_narrow, last))
 
+    def test_rejects_shared_first_or_last_label(self):
+        lo, hi, first, last = self.classes()
+        total = len(low_remainder_numbering(self.P))
+        # every class on [1, |V|]: each range fits, yet the evaluator
+        # would read width |V| - 1 from a table no numbering has
+        with pytest.raises(ValueError, match="share their first label"):
+            self.build((lo, hi, [1] * len(lo), [total] * len(lo)))
+        with pytest.raises(ValueError, match="share their last label"):
+            self.build((lo, hi, first, [total] * len(lo)))
+        # out of label order, a bijection's table is still accepted
+        self.build([a[::-1] for a in (lo, hi, first, last)])
+
 
 class TestInt64Refusals:
     def test_lex_and_mirror_refuse_2_pow_62_vertices_at_once(self):
