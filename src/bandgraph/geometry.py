@@ -230,14 +230,22 @@ def _signed_area2(pts: tuple[RatPoint, ...]) -> Fraction:
     return s
 
 
-def _segments_properly_cross(a1, a2, b1, b2) -> bool:
-    d1 = _cross(a2 - a1, b1 - a1)
-    d2 = _cross(a2 - a1, b2 - a1)
-    d3 = _cross(b2 - b1, a1 - b1)
-    d4 = _cross(b2 - b1, a2 - b1)
-    return ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
-        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
-    )
+def _within_box(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def _segments_meet(a1, a2, b1, b2) -> bool:
+    """Whether two closed segments share a point, touching included:
+    neither has both ends strictly on one side of the other's line, and
+    where both lie on one line, one has an end within the other's box."""
+    u, v = a2 - a1, b2 - b1
+    d1, d2 = _cross(u, b1 - a1), _cross(u, b2 - a1)
+    d3, d4 = _cross(v, a1 - b1), _cross(v, a2 - b1)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0) or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return False
+    if d1 == d2 == 0:
+        return _within_box(b1, a1, a2) or _within_box(b2, a1, a2) or _within_box(a1, b1, b2)
+    return True
 
 
 def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> None:
@@ -249,8 +257,8 @@ def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> None:
         a1, a2 = pts[i], pts[(i + 1) % m]
         for j in range(i + 2, m - (i == 0)):  # edges i and j share no corner
             b1, b2 = pts[j], pts[(j + 1) % m]
-            if _segments_properly_cross(a1, a2, b1, b2):
-                raise GeometryError("polygon edges cross; polygon must be simple")
+            if _segments_meet(a1, a2, b1, b2):
+                raise GeometryError("polygon edges cross or touch; polygon must be simple")
 
 
 def polygon_measure(poly: Polygon, k: int) -> Fraction:

@@ -45,6 +45,7 @@ from .hypergraph import (
     transform_equals_band_graph,
 )
 from .numbering import (
+    Numbering,
     bandwidth_of_numbering,
     high_remainder_numbering,
     lex_numbering,
@@ -80,6 +81,41 @@ def _result(name: str, checks: list[Check]) -> SuiteResult:
     return SuiteResult(name=name, checks=tuple(checks))
 
 
+def _tally(
+    summary_id: str, failures: list[Check], detail: str, shown: int | None = None
+) -> list[Check]:
+    """A check family's report: its failing checks (the first ``shown``,
+    or all of them), then its summary check, which passes when none
+    failed."""
+    return [*failures[:shown], Check(id=summary_id, passed=not failures, detail=detail)]
+
+
+def _large_b_grid(ks: tuple[int, ...], n_max: int) -> list[Params]:
+    """Every G(n, k, b) with k in ks and n <= n_max whose central set is
+    nonempty, i.e. 2b >= n+k-1, in (k, n, b) order."""
+    return [
+        Params(n=n, k=k, b=b)
+        for k in ks
+        for n in range(k, n_max + 1)
+        for b in range(max(-(-(n + k - 1) // 2), k - 1, 1), n + 1)
+    ]
+
+
+def _ratios(
+    build: Callable[[Params], Numbering], beta: Fraction, k: int, ns: tuple[int, ...]
+) -> dict[int, Fraction]:
+    """bandwidth/n^k of ``build``'s numbering of G(n, k, floor(beta*n)) for each n in ns."""
+    return {
+        n: Fraction(bandwidth_of_numbering(build(Params(n=n, k=k, b=int(beta * n)))), n**k)
+        for n in ns
+    }
+
+
+def _edge_pool(m: int) -> list[tuple[int, ...]]:
+    """The 2- and 3-subsets of range(m): the edges a cover instance draws from."""
+    return [c for size in (2, 3) for c in itertools.combinations(range(m), size)]
+
+
 # ── individual suites ─────────────────────────────────────────────────
 
 
@@ -87,23 +123,19 @@ def suite_large_b_exact() -> SuiteResult:
     """Exact search agrees with the closed form ceil((|V|+|C|-2)/2) on
     every small instance where the central set is nonempty."""
     checks = []
-    for k in (2, 3):
-        for n in range(k, 10):
-            b_min = -(-(n + k - 1) // 2)
-            for b in range(max(b_min, k - 1, 1), n + 1):
-                p = Params(n=n, k=k, b=b)
-                if vertex_count_formula(p) > 16:
-                    continue
-                graph, _ = band_graph_as_simple_graph(p)
-                got = exact_bandwidth(graph)
-                want = exact_bandwidth_large_b(p)
-                checks.append(
-                    Check(
-                        id=f"exact({n},{k},{b})",
-                        passed=got == want,
-                        detail=f"search={got} formula={want}",
-                    )
-                )
+    for p in _large_b_grid((2, 3), 9):
+        if vertex_count_formula(p) > 16:
+            continue
+        graph, _ = band_graph_as_simple_graph(p)
+        got = exact_bandwidth(graph)
+        want = exact_bandwidth_large_b(p)
+        checks.append(
+            Check(
+                id=f"exact({p.n},{p.k},{p.b})",
+                passed=got == want,
+                detail=f"search={got} formula={want}",
+            )
+        )
     return _result("large-b-exact", checks)
 
 
@@ -111,29 +143,16 @@ def suite_numberings() -> SuiteResult:
     """Mirror numbering attains the closed form whenever central
     vertices exist (k in 2..4, n <= 40); lex numbering pins the exact
     bandwidth 6 = 2*C(3,2) at b=3 and 12 = 3*C(4,3) at b=4."""
-    checks = []
-    bad = total = 0
-    for k in (2, 3, 4):
-        for n in range(k, 41):
-            b_min = -(-(n + k - 1) // 2)
-            for b in range(max(b_min, k - 1, 1), n + 1):
-                p = Params(n=n, k=k, b=b)
-                got = bandwidth_of_numbering(mirror_numbering(p))
-                want = exact_bandwidth_large_b(p)
-                total += 1
-                if got != want:
-                    bad += 1
-                    if bad <= 3:
-                        checks.append(
-                            Check(
-                                id=f"mirror({n},{k},{b})",
-                                passed=False,
-                                detail=f"bandwidth={got} formula={want}",
-                            )
-                        )
-    checks.append(
-        Check(id="mirror(k=2,3,4; n<=40)", passed=bad == 0, detail=f"{total} instances")
-    )
+    grid = _large_b_grid((2, 3, 4), 40)
+    failures = []
+    for p in grid:
+        got = bandwidth_of_numbering(mirror_numbering(p))
+        want = exact_bandwidth_large_b(p)
+        if got != want:
+            failures.append(
+                Check(f"mirror({p.n},{p.k},{p.b})", False, f"bandwidth={got} formula={want}")
+            )
+    checks = _tally("mirror(k=2,3,4; n<=40)", failures, f"{len(grid)} instances", shown=3)
 
     for k, b, pinned, ns in ((2, 3, 6, (50, 100, 200, 400)), (3, 4, 12, (100, 200, 400))):
         for n in ns:
@@ -160,88 +179,64 @@ def suite_distances() -> SuiteResult:
     The BFS runs from every interval class, and from every class where
     n <= 14; each run serves all three checks.  Edgeless instances
     (b = k-1) have no distances and are skipped."""
-    checks, bound_checks = [], []
-    interval_bad = diameter_bad = 0
-    interval_total = diameter_total = pairs_checked = 0
-    for n in range(1, 21):
-        for k in range(1, 5):
-            for b in range(k, n + 1):
-                p = Params(n=n, k=k, b=b)
-                diameter_total += 1
-                want_diam = diameter(p)
-                intervals = n - k + 2
-                classes = span_classes(p).tolist()
-                # the interval classes come first, by ascending lo; the
-                # first one reaches everything at maximal depth, so where
-                # n > 14 the interval rows alone still give the diameter
-                sources = classes if n <= 14 else classes[:intervals]
-                rows = [class_distances(p, source).tolist() for source in sources]
-                for i in range(intervals):
-                    for j in range(i, intervals):
-                        interval_total += 1
-                        got = rows[i][j]
-                        want = interval_distance(i, j, p)
-                        if got != want:
-                            interval_bad += 1
-                            if interval_bad <= 3:
-                                checks.append(
-                                    Check(
-                                        id=f"interval({n},{k},{b}) {i}->{j}",
-                                        passed=False,
-                                        detail=f"bfs={got} formula={want}",
-                                    )
-                                )
-                got_diam = max(map(max, rows))
-                if got_diam != want_diam:
-                    diameter_bad += 1
-                    label = "bfs" if n <= 14 else "interval-max"
-                    checks.append(
+    grid = [
+        Params(n=n, k=k, b=b) for n in range(1, 21) for k in range(1, 5) for b in range(k, n + 1)
+    ]
+    interval_failures, diameter_failures, bound_failures = [], [], []
+    interval_pairs = class_pairs = 0
+    for p in grid:
+        n, k, tag = p.n, p.k, f"({p.n},{p.k},{p.b})"
+        intervals = n - k + 2
+        interval_pairs += intervals * (intervals + 1) // 2
+        classes = span_classes(p).tolist()
+        # the interval classes come first, by ascending lo; the first one
+        # reaches everything at maximal depth, so where n > 14 the
+        # interval rows alone still give the diameter
+        sources = classes if n <= 14 else classes[:intervals]
+        rows = [class_distances(p, source).tolist() for source in sources]
+        for i in range(intervals):
+            for j in range(i, intervals):
+                got, want = rows[i][j], interval_distance(i, j, p)
+                if got != want:
+                    interval_failures.append(
+                        Check(f"interval{tag} {i}->{j}", False, f"bfs={got} formula={want}")
+                    )
+        got, want = max(map(max, rows)), diameter(p)
+        if got != want:
+            label = "bfs" if n <= 14 else "interval-max"
+            diameter_failures.append(
+                Check(f"diameter{tag}", False, f"{label}={got} formula={want}")
+            )
+        if n > 14 or k == 1:
+            continue
+        for (lo1, hi1), row in zip(classes, rows):
+            for (lo2, hi2), got in zip(classes, row):
+                if (lo1, hi1) >= (lo2, hi2):
+                    continue
+                x = tuple(range(lo1, lo1 + k - 1)) + (hi1,)
+                y = tuple(range(lo2, lo2 + k - 1)) + (hi2,)
+                bound = distance_upper_bound(x, y, p)
+                class_pairs += 1
+                if got > bound:
+                    bound_failures.append(
                         Check(
-                            id=f"diameter({n},{k},{b})",
-                            passed=False,
-                            detail=f"{label}={got_diam} formula={want_diam}",
+                            f"bound{tag} {(lo1, hi1)}->{(lo2, hi2)}",
+                            False,
+                            f"bfs={got} bound={bound}",
                         )
                     )
-                if n > 14 or k == 1:
-                    continue
-                for (lo1, hi1), row in zip(classes, rows):
-                    for (lo2, hi2), got in zip(classes, row):
-                        if (lo1, hi1) >= (lo2, hi2):
-                            continue
-                        x = tuple(range(lo1, lo1 + k - 1)) + (hi1,)
-                        y = tuple(range(lo2, lo2 + k - 1)) + (hi2,)
-                        bound = distance_upper_bound(x, y, p)
-                        pairs_checked += 1
-                        if got > bound:
-                            bound_checks.append(
-                                Check(
-                                    id=f"bound({n},{k},{b}) {(lo1, hi1)}->{(lo2, hi2)}",
-                                    passed=False,
-                                    detail=f"bfs={got} bound={bound}",
-                                )
-                            )
-    checks.append(
-        Check(
-            id="interval-distance(n<=20,k<=4)",
-            passed=interval_bad == 0,
-            detail=f"{interval_total} pairs checked",
-        )
-    )
-    checks.append(
-        Check(
-            id="diameter(n<=20,k<=4)",
-            passed=diameter_bad == 0,
-            detail=f"{diameter_total} instances checked",
-        )
-    )
-    checks.extend(bound_checks)
-    checks.append(
-        Check(
-            id="upper-bound-dominates(n<=14)",
-            passed=not bound_checks,
-            detail=f"{pairs_checked} ordered class pairs",
-        )
-    )
+    checks = [
+        *_tally(
+            "interval-distance(n<=20,k<=4)",
+            interval_failures,
+            f"{interval_pairs} pairs checked",
+            shown=3,
+        ),
+        *_tally("diameter(n<=20,k<=4)", diameter_failures, f"{len(grid)} instances checked"),
+        *_tally(
+            "upper-bound-dominates(n<=14)", bound_failures, f"{class_pairs} ordered class pairs"
+        ),
+    ]
     return _result("distances", checks)
 
 
@@ -318,11 +313,8 @@ def suite_asymptotics() -> SuiteResult:
 
     beta = Fraction(9, 20)
     c1 = coefficients(beta, 2).c1
-    ratios = {}
-    for n in ns:
-        p = Params(n=n, k=2, b=int(beta * n))
-        ratios[n] = Fraction(bandwidth_of_numbering(low_remainder_numbering(p)), n**2)
-    gaps = [abs(c1 - ratios[n]) for n in ns]
+    ratios = _ratios(low_remainder_numbering, beta, 2, ns)
+    gaps = [abs(c1 - r) for r in ratios.values()]
     checks.append(
         Check(
             id="low-remainder gap to c1 decreasing",
@@ -341,10 +333,7 @@ def suite_asymptotics() -> SuiteResult:
 
     beta = Fraction(7, 20)
     lower_c, upper_c = asymptotic_coefficient_interval(beta, 2)
-    ratios = {}
-    for n in ns:
-        p = Params(n=n, k=2, b=int(beta * n))
-        ratios[n] = Fraction(bandwidth_of_numbering(high_remainder_numbering(p)), n**2)
+    ratios = _ratios(high_remainder_numbering, beta, 2, ns)
     rel = abs(ratios[640] / upper_c - 1)
     checks.append(
         Check(
@@ -365,111 +354,81 @@ def suite_asymptotics() -> SuiteResult:
     return _result("asymptotics", checks)
 
 
-def _random_hypergraph(rng: random.Random) -> Hypergraph:
-    m = rng.choice((5, 6))
-    pool = [c for size in (2, 3) for c in itertools.combinations(range(m), size)]
-    edges = rng.sample(pool, rng.randint(1, 8))
-    return Hypergraph(m, edges)
-
-
 def suite_cover_equivalence(random_count: int = 500, seed: int = 7) -> SuiteResult:
     """Edge-cover number equals the transformed graph's vertex-cover
     number: exhaustively for <= 4 vertices (edge sizes 2-3), then on
     seeded random 5-6 vertex instances."""
-    checks = []
-    bad = 0
+    failures = []
     total = 0
     for m in range(1, 5):
-        pool = [c for size in (2, 3) for c in itertools.combinations(range(m), size)]
+        pool = _edge_pool(m)
+        total += 1 << len(pool)
         for mask in range(1 << len(pool)):
             edges = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-            h = Hypergraph(m, edges)
-            total += 1
-            if not check_cover_equivalence(h):
-                bad += 1
-                if bad <= 3:
-                    checks.append(
-                        Check(
-                            id=f"cover-exhaustive(m={m},edges={edges})",
-                            passed=False,
-                            detail="numbers differ",
-                        )
-                    )
-    checks.append(
-        Check(id="cover-exhaustive(<=4 vertices)", passed=bad == 0, detail=f"{total} instances")
-    )
+            if not check_cover_equivalence(Hypergraph(m, edges)):
+                failures.append(
+                    Check(f"cover-exhaustive(m={m},edges={edges})", False, "numbers differ")
+                )
+    checks = _tally("cover-exhaustive(<=4 vertices)", failures, f"{total} instances", shown=3)
 
     rng = random.Random(seed)
-    bad = 0
+    failures = []
     for t in range(random_count):
-        h = _random_hypergraph(rng)
+        m = rng.choice((5, 6))
+        h = Hypergraph(m, rng.sample(_edge_pool(m), rng.randint(1, 8)))
         if not check_cover_equivalence(h):
-            bad += 1
-            if bad <= 3:
-                checks.append(
-                    Check(
-                        id=f"cover-random#{t}",
-                        passed=False,
-                        detail=f"m={h.vertex_count} edges={[sorted(e) for e in h.edges]}",
-                    )
-                )
-    checks.append(
-        Check(
-            id=f"cover-random(x{random_count},seed={seed})",
-            passed=bad == 0,
-            detail=f"{random_count} instances",
-        )
+            failures.append(
+                Check(f"cover-random#{t}", False, f"m={m} edges={[sorted(e) for e in h.edges]}")
+            )
+    checks += _tally(
+        f"cover-random(x{random_count},seed={seed})",
+        failures,
+        f"{random_count} instances",
+        shown=3,
     )
     return _result("cover-equivalence", checks)
 
 
 def suite_transform() -> SuiteResult:
     """The banded hypergraph's weak edge clique graph is G(n, k, b)."""
-    checks = []
-    bad = 0
-    total = 0
-    for k in (2, 3):
-        for n in range(k, 11):
-            for b in range(max(1, k - 1), n + 1):
-                p = Params(n=n, k=k, b=b)
-                total += 1
-                if not transform_equals_band_graph(p):
-                    bad += 1
-                    checks.append(Check(id=f"transform({n},{k},{b})", passed=False))
-    checks.append(
-        Check(id="transform(n<=10,k=2..3)", passed=bad == 0, detail=f"{total} instances")
-    )
+    grid = [
+        Params(n=n, k=k, b=b)
+        for k in (2, 3)
+        for n in range(k, 11)
+        for b in range(max(1, k - 1), n + 1)
+    ]
+    failures = [
+        Check(id=f"transform({p.n},{p.k},{p.b})", passed=False)
+        for p in grid
+        if not transform_equals_band_graph(p)
+    ]
+    checks = _tally("transform(n<=10,k=2..3)", failures, f"{len(grid)} instances")
     return _result("transform", checks)
 
 
 def suite_meta(random_count: int = 100, seed: int = 7) -> SuiteResult:
     """Series partial sums for the unresolved-beta measure, and the
     c2/c3 >= 6 spread on random high-remainder betas."""
-    checks = []
-    checks.append(
+    val = unresolved_beta_measure(10**4)
+    checks = [
         Check(
             id="measure(2) = 1/15",
             passed=unresolved_beta_measure(2) == Fraction(1, 15),
             detail=str(unresolved_beta_measure(2)),
-        )
-    )
-    checks.append(
+        ),
         Check(
             id="measure(3) = 1/15 + 1/44",
             passed=unresolved_beta_measure(3) == Fraction(1, 15) + Fraction(1, 44),
             detail=str(unresolved_beta_measure(3)),
-        )
-    )
-    val = unresolved_beta_measure(10**4)
-    checks.append(
+        ),
         Check(
             id="measure(1e4) in (0.1185, 0.1195)",
             passed=Fraction(1185, 10000) < val < Fraction(1195, 10000),
             detail=f"{float(val):.6f}",
-        )
-    )
+        ),
+    ]
     rng = random.Random(seed)
-    bad = 0
+    failures = []
     for _ in range(random_count):
         q = rng.randint(2, 12)
         thr = Fraction(q - 1, q * q + q - 1)
@@ -482,20 +441,11 @@ def suite_meta(random_count: int = 100, seed: int = 7) -> SuiteResult:
         for k in (2, 3, 4, 5):
             co = coefficients(beta, k)
             if co.c2 / co.c3 < 6:
-                bad += 1
-                checks.append(
-                    Check(
-                        id=f"spread(beta={beta},k={k})",
-                        passed=False,
-                        detail=f"c2/c3={float(co.c2 / co.c3):.3f}",
-                    )
+                failures.append(
+                    Check(f"spread(beta={beta},k={k})", False, f"c2/c3={float(co.c2 / co.c3):.3f}")
                 )
-    checks.append(
-        Check(
-            id=f"c2/c3 >= 6 (x{random_count} betas, seed={seed})",
-            passed=bad == 0,
-            detail="k in 2..5 each",
-        )
+    checks += _tally(
+        f"c2/c3 >= 6 (x{random_count} betas, seed={seed})", failures, "k in 2..5 each"
     )
     return _result("meta", checks)
 

@@ -10,12 +10,22 @@ Item 7 checks that the low-remainder construction converges to c1: the
 exact gap |c1 - bandwidth/n^2| shrinks strictly along the n-ladder.  No
 side of approach is assumed; on this ladder the measured width is
 ceil(c1*n^2) - 1, so the ratio c1 - 1/n^2 rises toward c1 from below.
+
+The last test pins the whole check list: ``bandgraph verify all`` must
+print ``verify_all.golden.txt`` byte for byte.  It replays the cached
+suite runs, so no suite runs twice.  A renamed, re-detailed or dropped
+check fails it until the golden file is regenerated (``bandgraph verify
+all > tests/verify_all.golden.txt``) and the change is logged.
 """
 
 import functools
 import time
+from pathlib import Path
 
-from bandgraph.suites import run_suite
+import bandgraph.cli
+from bandgraph.suites import run_suite, suite_names
+
+GOLDEN = Path(__file__).with_name("verify_all.golden.txt")
 
 
 @functools.cache
@@ -109,3 +119,21 @@ def test_criterion_09_transform_identity():
 def test_criterion_10_meta_quantities():
     result = run_one("meta", 60, random_count=100, seed=7)
     assert result.passed, result.failures()
+
+
+def test_verify_all_prints_the_golden_check_list(capsys, monkeypatch):
+    # the suite defaults, spelled as criteria 08 and 10 spell them, so
+    # that the cache hands back the runs those tests made
+    defaults = {
+        "cover-equivalence": {"random_count": 500, "seed": 7},
+        "meta": {"random_count": 100, "seed": 7},
+    }
+    runs = [_timed_suite(name, **defaults.get(name, {}))[0] for name in suite_names()]
+
+    def replay(name, random_count=None, seed=None):
+        assert (name, random_count, seed) == ("all", None, None)
+        return runs
+
+    monkeypatch.setattr(bandgraph.cli, "run_suite", replay)
+    assert bandgraph.cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()

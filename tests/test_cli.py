@@ -323,6 +323,40 @@ class TestVerify:
         assert "[FAIL]" in out
         assert "result: FAIL" in out
 
+    def test_fault_reports_first_three_failures_then_summary(self, capsys, monkeypatch):
+        # lex in place of mirror misses the closed form; the family shows
+        # its first three failures, and the lex pins still pass
+        monkeypatch.setattr(bandgraph.suites, "mirror_numbering", bandgraph.suites.lex_numbering)
+        assert main(["verify", "numberings"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "suite numberings",
+            "  [FAIL] mirror(4,2,3)  bandwidth=6 formula=5",
+            "  [FAIL] mirror(5,2,4)  bandwidth=11 formula=9",
+            "  [FAIL] mirror(6,2,4)  bandwidth=12 formula=10",
+            "  [FAIL] mirror(k=2,3,4; n<=40)  1197 instances",
+        ]
+        assert len(lines) == 13
+        assert all(line.startswith("  [PASS] lex-pin(") for line in lines[5:12])
+        assert lines[12] == "result: FAIL (11 checks)"
+
+    def test_fault_reports_every_failure_then_summary(self, capsys, monkeypatch):
+        monkeypatch.setattr(bandgraph.suites, "transform_equals_band_graph", lambda p: p.n % 3)
+        assert main(["verify", "transform"]) == 1
+        failing = [
+            f"  [FAIL] transform({n},{k},{b})"
+            for k in (2, 3)
+            for n in (3, 6, 9)
+            for b in range(max(1, k - 1), n + 1)
+        ]
+        assert len(failing) == 33
+        assert capsys.readouterr().out.splitlines() == [
+            "suite transform",
+            *failing,
+            "  [FAIL] transform(n<=10,k=2..3)  98 instances",
+            "result: FAIL (34 checks)",
+        ]
+
     def test_seed_and_random_flags(self, capsys):
         assert main(["verify", "cover-equivalence", "--random", "5", "--seed", "3"]) == 0
 

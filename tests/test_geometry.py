@@ -100,6 +100,31 @@ class TestPolygonBasics:
         with pytest.raises(GeometryError):
             polygon_measure(bowtie, 2)
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            # figure-eight: two lobes of opposite winding meet at the
+            # repeated corner (1/4, 1/2); no two edges cross properly
+            [(F(1, 4), F(1, 2)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)),
+             (F(1, 4), F(1, 2)), (0, F(1, 2)), (0, F(3, 4))],
+            # the corner (1/4, 1/4) lies inside the diagonal edge
+            [(0, 0), (1, 1), (F(1, 2), 1), (F(1, 4), F(1, 4)), (F(1, 4), 1), (0, 1)],
+        ],
+        ids=["figure-eight", "corner-on-edge"],
+    )
+    def test_rejects_touching_edges(self, corners):
+        poly = Polygon(corners)
+        with pytest.raises(GeometryError, match="simple"):
+            polygon_measure(poly, 2)
+        with pytest.raises(GeometryError, match="simple"):
+            region_vertex_count(poly, 400, 2)
+
+    def test_accepts_collinear_consecutive_corners(self):
+        # edges 0 and 2 are collinear, but (1, 1) lies outside edge 0
+        poly = Polygon([(0, 0), (F(1, 2), F(1, 2)), (1, 1), (0, 1)])
+        assert polygon_measure(poly, 2) == F(1, 2)
+        assert region_vertex_count(poly, 8, 2) == 36
+
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             polygon_measure(omega_polygon(), 1)

@@ -1,0 +1,53 @@
+"""Every name a module imports is used: the library, the tests and the
+scripts are parsed with ``ast`` and each imported name looked up.
+
+A name counts as used when the module reads it, when its dotted path
+(``import bandgraph.cli``) appears as an attribute chain, or when
+``__all__`` re-exports it.  ``from __future__ import ...`` is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for d in ("src/bandgraph", "tests", "scripts") for p in (ROOT / d).glob("*.py"))
+
+
+def _dotted(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def unused_imports(source: str) -> list[str]:
+    """The imported names (dotted for plain ``import a.b``) that the
+    module never uses."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            used.add(_dotted(node))
+        elif isinstance(node, ast.Assign) and "__all__" in map(_dotted, node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_scan_finds_unused_names():
+    source = "import os, os.path\nimport a.b\nfrom x import y, z as w\nprint(a.b.c, w)\n"
+    assert unused_imports(source) == ["os", "os.path", "y"]
+    reexport = "from __future__ import annotations\n__all__ = ['y']\nfrom x import y\n"
+    assert unused_imports(reexport) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
