@@ -6,11 +6,17 @@ number of vertices mapping into a polygon P grows like mu(P) * n^k,
     mu(P) = 1/(k-2)! * integral over P of (y-x)^(k-2) dx dy,
 
 because a lattice point (i, j) carries C(j-i-1, k-2) vertices.  This
-module computes mu exactly (Fractions end to end), provides the
-landmark points that the band-decomposition numberings and coefficient
-identities are built from, verifies those identities symbolically, and
-counts lattice vertices inside arbitrary simple polygons for the
-convergence experiments.
+module computes mu exactly, provides the landmark points that the
+band-decomposition numberings and coefficient identities are built
+from, verifies those identities symbolically, and counts lattice
+vertices inside arbitrary simple polygons for the convergence
+experiments.
+
+Measures are one boundary sum in integers: the corners, scaled by their
+common denominator, enter Green's theorem edge by edge, O(E·k) integer
+operations for E edges and one Fraction at the end.  The simplicity and
+domain tests run on the same integer corners.  The triangle-fan
+integral in Fractions is the oracle in ``tests/geometry_oracle.py``.
 
 Counts go column by column: column x = i/n meets the closed polygon in
 closed runs of y, found from the exact edge crossings; a run admits an
@@ -55,16 +61,9 @@ class RatPoint:
     x: Fraction
     y: Fraction
 
-    def __sub__(self, other: "RatPoint") -> tuple[Fraction, Fraction]:
-        return (self.x - other.x, self.y - other.y)
-
 
 def _pt(x, y) -> RatPoint:
     return RatPoint(exact_fraction(x), exact_fraction(y))
-
-
-def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
@@ -198,89 +197,78 @@ def landmark_points(dec: BetaDecomposition | Fraction | str) -> LandmarkPoints:
 # ── exact measure ─────────────────────────────────────────────────────
 
 
-def _triangle_integral(p0: RatPoint, p1: RatPoint, p2: RatPoint, m: int) -> Fraction:
-    """Signed integral of (y-x)^m over the triangle p0 p1 p2.
-
-    Substituting P = p0 + u*(p1-p0) + v*(p2-p0) turns the integrand into
-    (a + b*u + c*v)^m over the reference simplex u, v >= 0, u+v <= 1,
-    where a, b, c are differences of y-x at the corners; the monomial
-    integrals over the simplex are p! q! / (p+q+2)!.
-    """
-    a = p0.y - p0.x
-    b = (p1.y - p1.x) - a
-    c = (p2.y - p2.x) - a
-    jac = _cross(p1 - p0, p2 - p0)
-    if jac == 0:
-        return Fraction(0)
-    mf = math.factorial(m)
-    total = Fraction(0)
-    for pw_b in range(m + 1):
-        for pw_c in range(m + 1 - pw_b):
-            coeff = Fraction(mf, math.factorial(m - pw_b - pw_c) * math.factorial(pw_b + pw_c + 2))
-            total += coeff * a ** (m - pw_b - pw_c) * b**pw_b * c**pw_c
-    return jac * total
+def _scaled(pts: tuple[RatPoint, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The corners' common denominator D and the corners times D, as ints."""
+    d = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    return d, [tuple(c.numerator * (d // c.denominator) for c in (p.x, p.y)) for p in pts]
 
 
-def _signed_area2(pts: tuple[RatPoint, ...]) -> Fraction:
-    """Twice the signed (shoelace) area; > 0 for counterclockwise."""
-    s = Fraction(0)
-    for i, p in enumerate(pts):
-        nxt = pts[(i + 1) % len(pts)]
-        s += p.x * nxt.y - nxt.x * p.y
-    return s
+def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The cross product (a - o) x (b - o)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _within_box(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+def _within_box(p: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
 
 
 def _segments_meet(a1, a2, b1, b2) -> bool:
     """Whether two closed segments share a point, touching included:
     neither has both ends strictly on one side of the other's line, and
     where both lie on one line, one has an end within the other's box."""
-    u, v = a2 - a1, b2 - b1
-    d1, d2 = _cross(u, b1 - a1), _cross(u, b2 - a1)
-    d3, d4 = _cross(v, a1 - b1), _cross(v, a2 - b1)
-    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0) or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+    d1, d2 = _cross(a1, a2, b1), _cross(a1, a2, b2)
+    if d1 * d2 > 0 or _cross(b1, b2, a1) * _cross(b1, b2, a2) > 0:
         return False
     if d1 == d2 == 0:
         return _within_box(b1, a1, a2) or _within_box(b2, a1, a2) or _within_box(a1, b1, b2)
     return True
 
 
-def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> None:
-    for p in pts:
-        if not (0 <= p.x <= p.y <= 1):
+def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """Refuse a corner outside the domain and two edges that meet other
+    than at a shared corner; return ``_scaled(pts)``, in which the tests
+    run on ints."""
+    d, corners = _scaled(pts)
+    for p, (x, y) in zip(pts, corners):
+        if not 0 <= x <= y <= d:
             raise GeometryError(f"vertex ({p.x}, {p.y}) outside 0 <= x <= y <= 1")
-    m = len(pts)
+    m = len(corners)
     for i in range(m):
-        a1, a2 = pts[i], pts[(i + 1) % m]
+        a1, a2 = corners[i], corners[(i + 1) % m]
         for j in range(i + 2, m - (i == 0)):  # edges i and j share no corner
-            b1, b2 = pts[j], pts[(j + 1) % m]
-            if _segments_meet(a1, a2, b1, b2):
+            if _segments_meet(a1, a2, corners[j], corners[(j + 1) % m]):
                 raise GeometryError("polygon edges cross or touch; polygon must be simple")
+    return d, corners
 
 
 def polygon_measure(poly: Polygon, k: int) -> Fraction:
     """Exact mu(poly) = 1/(k-2)! * integral of (y-x)^(k-2), k >= 2.
 
     Consecutive duplicate vertices are dropped; fewer than 3 distinct
-    corners means a degenerate polygon of measure 0.  Orientation is
-    normalized, so either winding direction is accepted.
+    corners means a degenerate polygon of measure 0.  Either winding
+    direction is accepted.
+
+    One boundary sum in integers: with the corners scaled by their
+    common denominator D to (X, Y) and d = Y - X, Green's theorem with
+    F = (y-x)^(k-1)/(k-1) gives
+
+        mu = |sum over edges (X1 - X0) * sum_{i<k} d0^i * d1^(k-1-i)| / (k! * D^k),
+
+    O(E·k) integer operations for E edges.  The integrand is positive
+    almost everywhere in the domain, so the sign of the sum is the
+    winding (negative for counterclockwise) and ``abs`` normalizes it.
     """
     if k < 2:
         raise GeometryError("measure needs k >= 2")
     pts = poly.cleaned()
     if len(pts) < 3:
         return Fraction(0)
-    _validate_simple_in_domain(pts)
-    if _signed_area2(pts) < 0:
-        pts = tuple(reversed(pts))
-    m = k - 2
-    total = Fraction(0)
-    for i in range(1, len(pts) - 1):
-        total += _triangle_integral(pts[0], pts[i], pts[i + 1], m)
-    return total / math.factorial(m)
+    d, corners = _validate_simple_in_domain(pts)
+    total = 0
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        d0, d1 = y0 - x0, y1 - x1
+        total += (x1 - x0) * sum(d0**i * d1 ** (k - 1 - i) for i in range(k))
+    return Fraction(abs(total), math.factorial(k) * d**k)
 
 
 def trapezoid_measure(s, t, u, v, k: int) -> Fraction:
@@ -359,14 +347,18 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
     def mu(*pts: RatPoint) -> Fraction:
         return polygon_measure(Polygon(pts), k)
 
+    # Each polygon is integrated once; the families that several checks
+    # read: the band trapezoid, its slices, the apex triangles right of F
+    # (0 stands for the empty one at i = 0) and the last parallelogram.
+    band = mu(lp.F(0), lp.F(q + 1), lp.G(q + 1), lp.G(0))
+    slices = [mu(lp.F(i), lp.F(i + 1), lp.G(i + 1), lp.G(i)) for i in range(q + 1)]
+    right_of_f = [Fraction(0)] + [mu(lp.A(i), lp.F(i), lp.C(i)) for i in range(1, q + 1)]
+    last_parallelogram = mu(lp.C(q), lp.B(q + 1), lp.D(q + 1), lp.E(q))
+
     # full band trapezoid and its equal slices
-    add("band = (q+1)*c2", mu(lp.F(0), lp.F(q + 1), lp.G(q + 1), lp.G(0)), (q + 1) * c2)
-    for i in range(q + 1):
-        add(
-            f"band slice {i} = c2",
-            mu(lp.F(i), lp.F(i + 1), lp.G(i + 1), lp.G(i)),
-            c2,
-        )
+    add("band = (q+1)*c2", band, (q + 1) * c2)
+    for i, band_slice in enumerate(slices):
+        add(f"band slice {i} = c2", band_slice, c2)
 
     # apex triangles and their F-splits
     for i in range(1, q + 1):
@@ -376,7 +368,7 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
             mu(lp.A(i), lp.B(i), lp.F(i)),
             (q + 1 - i) * c3,
         )
-        add(f"apex triangle {i} right of F = i*c3", mu(lp.A(i), lp.F(i), lp.C(i)), i * c3)
+        add(f"apex triangle {i} right of F = i*c3", right_of_f[i], i * c3)
     add(
         "corner triangle = (q+1)*c3/q^(k-1)",
         mu(lp.B(1), lp.C(1), lp.H1),
@@ -385,52 +377,35 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 
     parallelogram_value = beta ** (k - 1) * r / math.factorial(k - 1)
     if dec.regime == "low":
-        for i in range(q + 1):
-            add(
-                f"band parallelogram {i} = beta^(k-1)*r/(k-1)!",
-                mu(lp.C(i), lp.B(i + 1), lp.D(i + 1), lp.E(i)),
-                parallelogram_value,
-            )
+        parallelograms = [
+            mu(lp.C(i), lp.B(i + 1), lp.D(i + 1), lp.E(i)) for i in range(q)
+        ] + [last_parallelogram]
+        for i, parallelogram in enumerate(parallelograms):
+            add(f"band parallelogram {i} = beta^(k-1)*r/(k-1)!", parallelogram, parallelogram_value)
         add(
             "band parallelogram value = (q+1)*c2 - q*c1",
             parallelogram_value,
             (q + 1) * c2 - q * c1,
         )
         for i in range(1, q + 1):
-            add(
-                f"band quadrangle {i} = (q+1)*(c1-c2)",
-                mu(lp.B(i), lp.C(i), lp.E(i), lp.D(i)),
-                (q + 1) * (c1 - c2),
-            )
-            add(
-                f"chain {i}: quadrangle + parallelogram = c1",
-                mu(lp.B(i), lp.C(i), lp.E(i), lp.D(i))
-                + mu(lp.C(i), lp.B(i + 1), lp.D(i + 1), lp.E(i)),
-                c1,
-            )
+            quadrangle = mu(lp.B(i), lp.C(i), lp.E(i), lp.D(i))
+            add(f"band quadrangle {i} = (q+1)*(c1-c2)", quadrangle, (q + 1) * (c1 - c2))
+            add(f"chain {i}: quadrangle + parallelogram = c1", quadrangle + parallelograms[i], c1)
     else:
         add(
             "last band parallelogram = beta^(k-1)*r/(k-1)!",
-            mu(lp.C(q), lp.B(q + 1), lp.D(q + 1), lp.E(q)),
+            last_parallelogram,
             parallelogram_value,
         )
         for i in range(q):
-            tri_next = mu(lp.A(i + 1), lp.F(i + 1), lp.C(i + 1))
-            tri_prev = mu(lp.A(i), lp.F(i), lp.C(i)) if i >= 1 else Fraction(0)
             add(
                 f"chain {i}: slice + triangle difference = c2+c3",
-                mu(lp.F(i), lp.F(i + 1), lp.G(i + 1), lp.G(i)) + tri_next - tri_prev,
+                slices[i] + right_of_f[i + 1] - right_of_f[i],
                 c2 + c3,
             )
 
     # cross checks against the coefficient module (regime independent)
-    band_total = mu(lp.F(0), lp.F(q + 1), lp.G(q + 1), lp.G(0))
-    last_parallelogram = mu(lp.C(q), lp.B(q + 1), lp.D(q + 1), lp.E(q))
-    add(
-        "band minus last parallelogram = q*c1",
-        band_total - last_parallelogram,
-        q * c1,
-    )
+    add("band minus last parallelogram = q*c1", band - last_parallelogram, q * c1)
     add(
         "truncated band = q*c1",
         mu(lp.F(0), lp.C(q), lp.E(q), lp.G(0)),

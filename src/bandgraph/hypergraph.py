@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .core_graph import Params, are_adjacent, enumerate_vertices
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "CapacityError",
@@ -93,6 +95,8 @@ class SimpleGraph:
         return frozenset((u, v)) in self.edges
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.vertex_count))
         g.add_edges_from(tuple(e) for e in self.edges)
@@ -190,6 +194,14 @@ def _min_set_cover(universe_size: int, masks: list[int]) -> int:
     return best_size
 
 
+def _maximal_cliques(g: SimpleGraph) -> list[frozenset[int]]:
+    """The maximal cliques of g, from networkx (imported here, as the
+    exact covers are the only code in the package that needs it)."""
+    import networkx as nx
+
+    return [frozenset(c) for c in nx.find_cliques(g.to_networkx())]
+
+
 def vertex_clique_cover_number(g: SimpleGraph, cap: int = 20) -> int:
     """Minimum number of cliques of g covering all its vertices.
 
@@ -200,8 +212,7 @@ def vertex_clique_cover_number(g: SimpleGraph, cap: int = 20) -> int:
         raise CapacityError(f"{g.vertex_count} vertices exceeds exact cap {cap}")
     if g.vertex_count == 0:
         return 0
-    cliques = [frozenset(c) for c in nx.find_cliques(g.to_networkx())]
-    masks = [sum(1 << v for v in c) for c in cliques]
+    masks = [sum(1 << v for v in c) for c in _maximal_cliques(g)]
     return _min_set_cover(g.vertex_count, masks)
 
 
@@ -218,9 +229,8 @@ def weak_edge_clique_cover_number(h: Hypergraph, cap: int = 20) -> int:
         raise CapacityError(f"{m} edges exceeds exact cap {cap}")
     if m == 0:
         return 0
-    weak_maximal = [frozenset(c) for c in nx.find_cliques(two_section(h).to_networkx())]
     masks = []
-    for w in weak_maximal:
+    for w in _maximal_cliques(two_section(h)):
         mask = 0
         for idx, e in enumerate(h.edges):
             if e <= w:

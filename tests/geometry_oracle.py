@@ -1,19 +1,111 @@
-"""Test oracle: lattice counts one lattice point at a time.
+"""Test oracles: polygon measures by triangle fans, lattice counts one
+lattice point at a time.
 
-This is the per-point count the library used before it counted column
-by column: every lattice point (i, j) of the domain triangle takes an
-exact boundary test against every edge, then, if it is off the
-boundary, the even-odd rule with a horizontal ray.  It shares no code
-with ``bandgraph.geometry`` beyond ``Polygon.cleaned`` and
-``class_size``, so the tests compare ``region_vertex_count`` against it.
+``polygon_measure`` is the measure the library computed before its
+integer boundary sum: the simplicity test and the shoelace orientation
+on ``Fraction`` corners, then a fan of triangles from the first corner,
+each integrated over the reference simplex, O(E·k²) ``Fraction`` terms.
+
+``region_vertex_count`` is the per-point count the library used before
+it counted column by column: every lattice point (i, j) of the domain
+triangle takes an exact boundary test against every edge, then, if it
+is off the boundary, the even-odd rule with a horizontal ray.
+
+Both share no code with ``bandgraph.geometry`` beyond ``Polygon.cleaned``,
+``GeometryError`` and ``class_size``, so the tests compare the library
+against them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from bandgraph.core_graph import class_size
-from bandgraph.geometry import Polygon, RatPoint
+from bandgraph.geometry import GeometryError, Polygon, RatPoint
+
+
+# ── measures by triangle fans ─────────────────────────────────────────
+
+
+def _cross(o: RatPoint, a: RatPoint, b: RatPoint) -> Fraction:
+    """The cross product (a - o) x (b - o)."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def _within_box(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def segments_meet(a1: RatPoint, a2: RatPoint, b1: RatPoint, b2: RatPoint) -> bool:
+    """Whether two closed segments share a point, touching included."""
+    d1, d2 = _cross(a1, a2, b1), _cross(a1, a2, b2)
+    d3, d4 = _cross(b1, b2, a1), _cross(b1, b2, a2)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0) or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return False
+    if d1 == d2 == 0:
+        return _within_box(b1, a1, a2) or _within_box(b2, a1, a2) or _within_box(a1, b1, b2)
+    return True
+
+
+def validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> None:
+    """Raise ``GeometryError``, with the library's messages, for a corner
+    outside 0 <= x <= y <= 1 or two edges that meet other than at a
+    shared corner."""
+    for p in pts:
+        if not (0 <= p.x <= p.y <= 1):
+            raise GeometryError(f"vertex ({p.x}, {p.y}) outside 0 <= x <= y <= 1")
+    m = len(pts)
+    for i in range(m):
+        for j in range(i + 2, m - (i == 0)):
+            if segments_meet(pts[i], pts[(i + 1) % m], pts[j], pts[(j + 1) % m]):
+                raise GeometryError("polygon edges cross or touch; polygon must be simple")
+
+
+def signed_area2(pts: tuple[RatPoint, ...]) -> Fraction:
+    """Twice the signed (shoelace) area; > 0 for counterclockwise."""
+    return sum(
+        (p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1])), Fraction(0)
+    )
+
+
+def triangle_integral(p0: RatPoint, p1: RatPoint, p2: RatPoint, m: int) -> Fraction:
+    """Signed integral of (y-x)^m over the triangle p0 p1 p2.
+
+    Substituting P = p0 + u*(p1-p0) + v*(p2-p0) turns the integrand into
+    (a + b*u + c*v)^m over the reference simplex u, v >= 0, u+v <= 1,
+    where a, b, c are differences of y-x at the corners; the monomial
+    integrals over the simplex are p! q! / (p+q+2)!.
+    """
+    a = p0.y - p0.x
+    b = (p1.y - p1.x) - a
+    c = (p2.y - p2.x) - a
+    jac = _cross(p0, p1, p2)
+    mf = math.factorial(m)
+    total = Fraction(0)
+    for pw_b in range(m + 1):
+        for pw_c in range(m + 1 - pw_b):
+            coeff = Fraction(mf, math.factorial(m - pw_b - pw_c) * math.factorial(pw_b + pw_c + 2))
+            total += coeff * a ** (m - pw_b - pw_c) * b**pw_b * c**pw_c
+    return jac * total
+
+
+def polygon_measure(poly: Polygon, k: int) -> Fraction:
+    """mu(poly) = 1/(k-2)! * integral of (y-x)^(k-2), k >= 2, as a fan of
+    triangles from the first corner, counterclockwise."""
+    pts = poly.cleaned()
+    if len(pts) < 3:
+        return Fraction(0)
+    validate_simple_in_domain(pts)
+    if signed_area2(pts) < 0:
+        pts = pts[::-1]
+    total = sum(
+        (triangle_integral(pts[0], p, q, k - 2) for p, q in zip(pts[1:], pts[2:])), Fraction(0)
+    )
+    return total / math.factorial(k - 2)
+
+
+# ── lattice counts point by point ─────────────────────────────────────
 
 
 def point_on_boundary(px: Fraction, py: Fraction, pts: tuple[RatPoint, ...]) -> bool:

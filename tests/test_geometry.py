@@ -1,9 +1,11 @@
 """Exact-measure, landmark, identity, and lattice-count tests.
 
 Oracles: the shoelace formula for k = 2 (where the measure is plain
-area), closed-form measures of axis-aligned shapes, and brute-force
-lattice enumeration for region_vertex_count: a convex-hull test here,
-and the per-point boundary and even-odd tests of geometry_oracle.
+area), closed-form measures of axis-aligned shapes, the triangle-fan
+measure and Fraction simplicity test of geometry_oracle for
+polygon_measure, and brute-force lattice enumeration for
+region_vertex_count: a convex-hull test here, and the per-point
+boundary and even-odd tests of geometry_oracle.
 """
 
 import functools
@@ -348,6 +350,52 @@ def lattice_star_polygons(draw):
     order = sorted(farthest, key=functools.cmp_to_key(_angle_order))
     vertices = [farthest[u][1] for u in order]
     return (vertices[::-1] if draw(st.booleans()) else vertices), n
+
+
+@st.composite
+def corner_lists(draw):
+    """3 to 7 corners, each on its own grid of step 1/d, simple or not;
+    most have x <= y, the rest are drawn anywhere in the unit square."""
+    corners = []
+    for _ in range(draw(st.integers(3, 7))):
+        d = draw(st.sampled_from((1, 2, 3, 7, 12, 40, 97)))
+        x, y = draw(st.integers(0, d)), draw(st.integers(0, d))
+        if draw(st.integers(0, 7)):
+            x, y = min(x, y), max(x, y)
+        corners.append((F(x, d), F(y, d)))
+    return corners
+
+
+class TestMeasureOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_star_polygons(), st.integers(2, 7))
+    @example((omega_polygon().vertices, 1), 7)
+    def test_matches_fan_oracle_in_both_windings(self, case, k):
+        vertices, _ = case
+        expected = geometry_oracle.polygon_measure(Polygon(vertices), k)
+        assert polygon_measure(Polygon(vertices), k) == expected
+        assert polygon_measure(Polygon(vertices[::-1]), k) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(corner_lists(), st.integers(2, 6))
+    # corners below the diagonal, above y = 1 and left of x = 0, a bowtie
+    # of two triangles, and corners on one line where edge 2 covers edge 0
+    @example([(0, 0), (F(1, 2), F(1, 3)), (0, 1)], 2)
+    @example([(0, 0), (F(1, 2), F(3, 2)), (0, 1)], 2)
+    @example([(0, 0), (0, 1), (F(-1, 3), F(1, 2))], 2)
+    @example([(0, 0), (F(1, 2), 1), (0, 1), (F(1, 2), F(1, 2))], 3)
+    @example([(F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1), (0, 0)], 2)
+    def test_refuses_exactly_where_the_oracle_does(self, corners, k):
+        poly = Polygon(corners)
+        try:
+            expected = geometry_oracle.polygon_measure(poly, k)
+        except GeometryError as refusal:
+            for call in (lambda: polygon_measure(poly, k), lambda: region_vertex_count(poly, 4, k)):
+                with pytest.raises(GeometryError) as got:
+                    call()
+                assert str(got.value) == str(refusal)
+        else:
+            assert polygon_measure(poly, k) == expected
 
 
 def convex_position(hull_ccw, x, y) -> str:

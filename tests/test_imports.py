@@ -4,9 +4,13 @@ scripts are parsed with ``ast`` and each imported name looked up.
 A name counts as used when the module reads it, when its dotted path
 (``import bandgraph.cli``) appears as an attribute chain, or when
 ``__all__`` re-exports it.  ``from __future__ import ...`` is exempt.
+
+Also: importing the package leaves networkx unloaded.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,15 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_bandgraph_leaves_networkx_unloaded():
+    # only the exact clique covers in bandgraph.hypergraph import networkx
+    src = str(ROOT / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import bandgraph; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "bandgraph" in loaded
+    assert "networkx" not in loaded
