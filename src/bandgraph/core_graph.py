@@ -21,12 +21,33 @@ on that query.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, run on its first attribute access (the lazy-import recipe of
+    ``importlib.util.LazyLoader``), or numpy itself where it is loaded
+    already.  So importing bandgraph, counting lattice vertices and
+    integrating measures leave it unloaded; the first class table or
+    numbering loads it."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Vertex = tuple[int, ...]  # strictly increasing elements of [0, n]
 

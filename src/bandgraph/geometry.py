@@ -21,16 +21,26 @@ integral in Fractions is the oracle in ``tests/geometry_oracle.py``.
 Counts go column by column: column x = i/n meets the closed polygon in
 closed runs of y, found from the exact edge crossings; a run admits an
 interval of j, and C(j-i-1, k-2) sums over it in closed form (hockey
-stick).  That is O(n·E²) exact operations for E edges, where a
-per-point test would take O(n²·E); the per-point test is the oracle in
-``tests/geometry_oracle.py``.  No float takes part in any decision.
+stick).  The integer corners are scaled once more, so that every
+crossing of a column is an int and the row bounds are integer floor
+divisions: O(n·E log E) integer operations for E edges and no Fraction
+per column, where a per-point test would take O(n²·E); the per-point
+test is the oracle in ``tests/geometry_oracle.py``.
+
+The landmarks of the band decomposition are tabulated once per
+``LandmarkPoints``, on first use, as ints over one denominator, and the
+identity suite integrates its polygons from that table; the Fraction
+formulas are the landmark oracle in ``tests/geometry_oracle.py``.  No
+float takes part in any decision.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import BetaDecomposition, beta_decomposition, coefficients, exact_fraction
 from .core_graph import comb0
@@ -62,10 +72,6 @@ class RatPoint:
     y: Fraction
 
 
-def _pt(x, y) -> RatPoint:
-    return RatPoint(exact_fraction(x), exact_fraction(y))
-
-
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon given by its cyclic vertex sequence (any orientation)."""
@@ -74,7 +80,8 @@ class Polygon:
 
     def __init__(self, vertices) -> None:
         pts = tuple(
-            v if isinstance(v, RatPoint) else _pt(v[0], v[1]) for v in vertices
+            v if isinstance(v, RatPoint) else RatPoint(exact_fraction(v[0]), exact_fraction(v[1]))
+            for v in vertices
         )
         object.__setattr__(self, "vertices", pts)
 
@@ -112,13 +119,18 @@ class LandmarkPoints:
       E_i = (i*gamma, + beta)         i = 0..q     (upper band line; low regime,
                                                     E_q also in the high regime)
       F_i = (i/(q+1), i/(q+1))        i = 0..q+1   (diagonal, equal spacing)
-      G_i = F_i + (0 ... )            i = 0..q+1   (upper band line above F-spacing)
+      G_i = (i(1-beta)/(q+1), i(1-beta)/(q+1) + beta)
+                                      i = 0..q+1   (upper band line above F-spacing)
       H1  = (r, beta),  I = (0, 1)
 
     In the high-remainder regime the apexes A_i sit strictly inside the
     band, D_i/E_i with i < q are not part of any construction and
     requesting them raises; D_{q+1} coincides with G_{q+1} and stays
     available, as do D_q and E_q.
+
+    Every landmark is computed once, on first use, as an int pair over
+    the one denominator den(beta)*q*(q+1) (``_grid``); the accessors
+    return ``RatPoint``s read from that table.
     """
 
     dec: BetaDecomposition
@@ -139,53 +151,75 @@ class LandmarkPoints:
     def gamma(self) -> Fraction:
         return self.beta * (1 - Fraction(1, self.q))
 
-    def _check(self, name: str, i: int, lo: int, hi: int) -> None:
+    @cached_property
+    def _grid(self) -> tuple[int, dict[str, list[tuple[int, int]]]]:
+        """The denominator den(beta)*q*(q+1) and every landmark times it:
+        one list per letter, indexed 0..q+1 (an index outside a letter's
+        range holds the formula's value, which no accessor returns), and
+        one-entry lists for H1 and I."""
+        q = self.q
+        den = self.beta.denominator * q * (q + 1)
+        b = self.beta.numerator * q * (q + 1)  # beta
+        r = den - q * b
+        g = b // q * (q - 1)  # gamma
+        f = den // (q + 1)  # 1/(q+1)
+        h = (den - b) // (q + 1)  # (1-beta)/(q+1)
+        idx = range(q + 2)
+        return den, {
+            "A": [(i * r, i * r + q * (b - r)) for i in idx],
+            "B": [(r + (i - 1) * b,) * 2 for i in idx],
+            "C": [(i * b,) * 2 for i in idx],
+            "D": [(r + (i - 1) * g, r + (i - 1) * g + b) for i in idx],
+            "E": [(i * g, i * g + b) for i in idx],
+            "F": [(i * f,) * 2 for i in idx],
+            "G": [(i * h, i * h + b) for i in idx],
+            "H1": [(r, b)],
+            "I": [(0, den)],
+        }
+
+    @cached_property
+    def _points(self) -> dict[str, list[RatPoint]]:
+        den, table = self._grid
+        return {
+            name: [RatPoint(Fraction(x, den), Fraction(y, den)) for x, y in pts]
+            for name, pts in table.items()
+        }
+
+    def _at(self, name: str, i: int, lo: int, hi: int) -> RatPoint:
         if not lo <= i <= hi:
             raise GeometryError(f"{name}_{i} undefined; valid range {lo}..{hi}")
+        if name in ("D", "E") and self.dec.regime == "high" and i < self.q:
+            raise GeometryError(f"{name}_{i} is a low-remainder landmark (regime is high)")
+        return self._points[name][i]
 
     def A(self, i: int) -> RatPoint:
-        self._check("A", i, 0, self.q + 1)
-        return _pt(i * self.r, i * self.r + self.q * (self.beta - self.r))
+        return self._at("A", i, 0, self.q + 1)
 
     def B(self, i: int) -> RatPoint:
-        self._check("B", i, 1, self.q + 1)
-        d = self.r + (i - 1) * self.beta
-        return _pt(d, d)
+        return self._at("B", i, 1, self.q + 1)
 
     def C(self, i: int) -> RatPoint:
-        self._check("C", i, 0, self.q)
-        return _pt(i * self.beta, i * self.beta)
+        return self._at("C", i, 0, self.q)
 
     def D(self, i: int) -> RatPoint:
-        self._check("D", i, 1, self.q + 1)
-        if self.dec.regime == "high" and i < self.q:
-            raise GeometryError(f"D_{i} is a low-remainder landmark (regime is high)")
-        d = self.r + (i - 1) * self.gamma
-        return _pt(d, d + self.beta)
+        return self._at("D", i, 1, self.q + 1)
 
     def E(self, i: int) -> RatPoint:
-        self._check("E", i, 0, self.q)
-        if self.dec.regime == "high" and i < self.q:
-            raise GeometryError(f"E_{i} is a low-remainder landmark (regime is high)")
-        return _pt(i * self.gamma, i * self.gamma + self.beta)
+        return self._at("E", i, 0, self.q)
 
     def F(self, i: int) -> RatPoint:
-        self._check("F", i, 0, self.q + 1)
-        d = Fraction(i, self.q + 1)
-        return _pt(d, d)
+        return self._at("F", i, 0, self.q + 1)
 
     def G(self, i: int) -> RatPoint:
-        self._check("G", i, 0, self.q + 1)
-        d = Fraction(i, self.q + 1) * (1 - self.beta)
-        return _pt(d, d + self.beta)
+        return self._at("G", i, 0, self.q + 1)
 
     @property
     def H1(self) -> RatPoint:
-        return _pt(self.r, self.beta)
+        return self._points["H1"][0]
 
     @property
     def I(self) -> RatPoint:
-        return _pt(0, 1)
+        return self._points["I"][0]
 
 
 def landmark_points(dec: BetaDecomposition | Fraction | str) -> LandmarkPoints:
@@ -224,21 +258,36 @@ def _segments_meet(a1, a2, b1, b2) -> bool:
     return True
 
 
-def _validate_simple_in_domain(pts: tuple[RatPoint, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """Refuse a corner outside the domain and two edges that meet other
-    than at a shared corner; return ``_scaled(pts)``, in which the tests
-    run on ints."""
-    d, corners = _scaled(pts)
-    for p, (x, y) in zip(pts, corners):
-        if not 0 <= x <= y <= d:
-            raise GeometryError(f"vertex ({p.x}, {p.y}) outside 0 <= x <= y <= 1")
+def _simple_in_domain(d: int, corners: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The corners, scaled by d, with consecutive duplicates dropped
+    (cyclically).  Where three or more remain, refuse one outside the
+    domain and two edges that meet other than at a shared corner."""
+    corners = [p for i, p in enumerate(corners) if p != corners[i - 1]]
     m = len(corners)
+    if m < 3:
+        return corners
+    for x, y in corners:
+        if not 0 <= x <= y <= d:
+            raise GeometryError(f"vertex ({Fraction(x, d)}, {Fraction(y, d)}) outside 0 <= x <= y <= 1")
     for i in range(m):
         a1, a2 = corners[i], corners[(i + 1) % m]
         for j in range(i + 2, m - (i == 0)):  # edges i and j share no corner
             if _segments_meet(a1, a2, corners[j], corners[(j + 1) % m]):
                 raise GeometryError("polygon edges cross or touch; polygon must be simple")
-    return d, corners
+    return corners
+
+
+def _measure(d: int, corners: list[tuple[int, int]], k: int) -> Fraction:
+    """mu of the polygon with these corners times d, k >= 2: the boundary
+    sum of ``polygon_measure``, after ``_simple_in_domain``."""
+    corners = _simple_in_domain(d, corners)
+    if len(corners) < 3:
+        return Fraction(0)
+    total = 0
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        d0, d1 = y0 - x0, y1 - x1
+        total += (x1 - x0) * sum(d0**i * d1 ** (k - 1 - i) for i in range(k))
+    return Fraction(abs(total), math.factorial(k) * d**k)
 
 
 def polygon_measure(poly: Polygon, k: int) -> Fraction:
@@ -260,15 +309,7 @@ def polygon_measure(poly: Polygon, k: int) -> Fraction:
     """
     if k < 2:
         raise GeometryError("measure needs k >= 2")
-    pts = poly.cleaned()
-    if len(pts) < 3:
-        return Fraction(0)
-    d, corners = _validate_simple_in_domain(pts)
-    total = 0
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
-        d0, d1 = y0 - x0, y1 - x1
-        total += (x1 - x0) * sum(d0**i * d1 ** (k - 1 - i) for i in range(k))
-    return Fraction(abs(total), math.factorial(k) * d**k)
+    return _measure(*_scaled(poly.vertices), k)
 
 
 def trapezoid_measure(s, t, u, v, k: int) -> Fraction:
@@ -335,7 +376,6 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
     """
     if not isinstance(dec, BetaDecomposition):
         dec = beta_decomposition(dec)
-    lp = landmark_points(dec)
     co = coefficients(dec.beta, k)
     q, r, beta = dec.q, dec.r, dec.beta
     c1, c2, c3 = co.c1, co.c2, co.c3
@@ -344,16 +384,20 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
     def add(name: str, lhs: Fraction, rhs: Fraction) -> None:
         checks.append(IdentityCheck(name=name, lhs=lhs, rhs=rhs))
 
-    def mu(*pts: RatPoint) -> Fraction:
-        return polygon_measure(Polygon(pts), k)
+    # The landmarks as int pairs over one denominator (see LandmarkPoints).
+    den, table = landmark_points(dec)._grid
+    A, B, C, D, E, F, G = (table[name] for name in "ABCDEFG")
+
+    def mu(*corners: tuple[int, int]) -> Fraction:
+        return _measure(den, list(corners), k)
 
     # Each polygon is integrated once; the families that several checks
     # read: the band trapezoid, its slices, the apex triangles right of F
     # (0 stands for the empty one at i = 0) and the last parallelogram.
-    band = mu(lp.F(0), lp.F(q + 1), lp.G(q + 1), lp.G(0))
-    slices = [mu(lp.F(i), lp.F(i + 1), lp.G(i + 1), lp.G(i)) for i in range(q + 1)]
-    right_of_f = [Fraction(0)] + [mu(lp.A(i), lp.F(i), lp.C(i)) for i in range(1, q + 1)]
-    last_parallelogram = mu(lp.C(q), lp.B(q + 1), lp.D(q + 1), lp.E(q))
+    band = mu(F[0], F[q + 1], G[q + 1], G[0])
+    slices = [mu(F[i], F[i + 1], G[i + 1], G[i]) for i in range(q + 1)]
+    right_of_f = [Fraction(0)] + [mu(A[i], F[i], C[i]) for i in range(1, q + 1)]
+    last_parallelogram = mu(C[q], B[q + 1], D[q + 1], E[q])
 
     # full band trapezoid and its equal slices
     add("band = (q+1)*c2", band, (q + 1) * c2)
@@ -362,41 +406,23 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 
     # apex triangles and their F-splits
     for i in range(1, q + 1):
-        add(f"apex triangle {i} = (q+1)*c3", mu(lp.A(i), lp.B(i), lp.C(i)), (q + 1) * c3)
-        add(
-            f"apex triangle {i} left of F = (q+1-i)*c3",
-            mu(lp.A(i), lp.B(i), lp.F(i)),
-            (q + 1 - i) * c3,
-        )
+        add(f"apex triangle {i} = (q+1)*c3", mu(A[i], B[i], C[i]), (q + 1) * c3)
+        add(f"apex triangle {i} left of F = (q+1-i)*c3", mu(A[i], B[i], F[i]), (q + 1 - i) * c3)
         add(f"apex triangle {i} right of F = i*c3", right_of_f[i], i * c3)
-    add(
-        "corner triangle = (q+1)*c3/q^(k-1)",
-        mu(lp.B(1), lp.C(1), lp.H1),
-        (q + 1) * c3 / q ** (k - 1),
-    )
+    add("corner triangle = (q+1)*c3/q^(k-1)", mu(B[1], C[1], table["H1"][0]), (q + 1) * c3 / q ** (k - 1))
 
     parallelogram_value = beta ** (k - 1) * r / math.factorial(k - 1)
     if dec.regime == "low":
-        parallelograms = [
-            mu(lp.C(i), lp.B(i + 1), lp.D(i + 1), lp.E(i)) for i in range(q)
-        ] + [last_parallelogram]
+        parallelograms = [mu(C[i], B[i + 1], D[i + 1], E[i]) for i in range(q)] + [last_parallelogram]
         for i, parallelogram in enumerate(parallelograms):
             add(f"band parallelogram {i} = beta^(k-1)*r/(k-1)!", parallelogram, parallelogram_value)
-        add(
-            "band parallelogram value = (q+1)*c2 - q*c1",
-            parallelogram_value,
-            (q + 1) * c2 - q * c1,
-        )
+        add("band parallelogram value = (q+1)*c2 - q*c1", parallelogram_value, (q + 1) * c2 - q * c1)
         for i in range(1, q + 1):
-            quadrangle = mu(lp.B(i), lp.C(i), lp.E(i), lp.D(i))
+            quadrangle = mu(B[i], C[i], E[i], D[i])
             add(f"band quadrangle {i} = (q+1)*(c1-c2)", quadrangle, (q + 1) * (c1 - c2))
             add(f"chain {i}: quadrangle + parallelogram = c1", quadrangle + parallelograms[i], c1)
     else:
-        add(
-            "last band parallelogram = beta^(k-1)*r/(k-1)!",
-            last_parallelogram,
-            parallelogram_value,
-        )
+        add("last band parallelogram = beta^(k-1)*r/(k-1)!", last_parallelogram, parallelogram_value)
         for i in range(q):
             add(
                 f"chain {i}: slice + triangle difference = c2+c3",
@@ -406,11 +432,7 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 
     # cross checks against the coefficient module (regime independent)
     add("band minus last parallelogram = q*c1", band - last_parallelogram, q * c1)
-    add(
-        "truncated band = q*c1",
-        mu(lp.F(0), lp.C(q), lp.E(q), lp.G(0)),
-        q * c1,
-    )
+    add("truncated band = q*c1", mu(F[0], C[q], E[q], G[0]), q * c1)
 
     return IdentityReport(beta=beta, k=k, regime=dec.regime, checks=tuple(checks))
 
@@ -418,37 +440,36 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 # ── lattice counting ──────────────────────────────────────────────────
 
 
-def _column_runs(edges, x: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Closed runs [y0, y1] in which the vertical line through x meets
-    the closed polygon with these edges, bottom to top.
+def _column_runs(slanted, walls, c: int) -> list[tuple[int, int]]:
+    """Closed runs [y0, y1] in which column c meets the closed polygon,
+    bottom to top, in the scaled ints of ``region_vertex_count``.  The
+    non-vertical edges come as (lo, hi, x0, y0, slope) and meet the
+    column at y = y0 + (c - x0)*slope where lo <= c <= hi; the vertical
+    edges come as (x, y0, y1) with y0 <= y1.
 
     The line meets the boundary at the crossings of the edges that span
-    x, and along any edge lying on it; every other point of the line is
+    c, and along any edge lying on it; every other point of the line is
     off the boundary.  So between two consecutive boundary values y the
     open gap is inside or outside as a whole: inside when an edge on the
     line covers it, or when the even-odd rule counts an odd number of
     edge crossings above it (an upward ray from any point of the gap;
-    an edge counts when exactly one endpoint has x' <= x, which settles
-    rays through corners and along edges on the line).
+    an edge counts when exactly one endpoint has x' <= c, that is
+    lo <= c < hi, which settles rays through corners and along edges on
+    the line).
     """
-    ys: set[Fraction] = set()
-    on_line: list[tuple[Fraction, Fraction]] = []
-    crossings: list[Fraction] = []
-    for a, b in edges:
-        if a.x == b.x:
-            if a.x == x:
-                ys.update((a.y, b.y))
-                on_line.append((min(a.y, b.y), max(a.y, b.y)))
-            continue
-        if min(a.x, b.x) <= x <= max(a.x, b.x):
-            y = a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
-            ys.add(y)
-            if (a.x <= x) != (b.x <= x):
+    on_line = [(y0, y1) for x, y0, y1 in walls if x == c]
+    levels, crossings = {y for run in on_line for y in run}, []
+    for lo, hi, x0, y0, slope in slanted:
+        if lo <= c <= hi:
+            levels.add(y := y0 + (c - x0) * slope)
+            if c < hi:
                 crossings.append(y)
-    levels = sorted(ys)
+    levels = sorted(levels)
+    crossings.sort()
     runs = [(y, y) for y in levels[:1]]
     for y0, y1 in zip(levels, levels[1:]):
-        if any(c0 <= y0 and y1 <= c1 for c0, c1 in on_line) or sum(c >= y1 for c in crossings) % 2:
+        above = len(crossings) - bisect_left(crossings, y1)
+        if above % 2 or any(c0 <= y0 and y1 <= c1 for c0, c1 in on_line):
             runs[-1] = (runs[-1][0], y1)
         else:
             runs.append((y1, y1))
@@ -470,23 +491,32 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices.
     The count goes column by column: column x = i/n meets the polygon in
     closed runs of y (``_column_runs``), each run admits the j between
-    the integer ceil and floor of its ends times n, and those sum in
-    closed form.  That is O(n·E²) exact rational operations for E edges;
-    the boundary counts as inside.
+    the ceil and floor of its ends times n, and those sum in closed form.
+    It runs on ints: with the corners scaled by their common denominator
+    D and L the lcm of the edges' nonzero |X1 - X0|, x is scaled by n·D,
+    so column i sits at i·D, and y by n·D·L, so that every crossing of a
+    column is an int and row j sits at j·D·L.  That is O(n·E log E)
+    integer operations for E edges; the boundary counts as inside.
     """
     if n < 1 or k < 1:
         raise GeometryError(f"lattice counts need n >= 1 and k >= 1, got n = {n}, k = {k}")
-    pts = poly.cleaned()
-    if len(pts) < 3:
+    d, corners = _scaled(poly.vertices)
+    corners = _simple_in_domain(d, corners)
+    if len(corners) < 3:
         return 0
-    _validate_simple_in_domain(pts)
-    edges = list(zip(pts, pts[1:] + pts[:1]))
-    xs = [p.x for p in pts]
+    pairs = list(zip(corners, corners[1:] + corners[:1]))
+    ell = math.lcm(*(abs(x1 - x0) for (x0, _), (x1, _) in pairs if x1 != x0))
+    edges = [(x0 * n, y0 * n * ell, x1 * n, y1 * n * ell) for (x0, y0), (x1, y1) in pairs]
+    walls = [(x0, min(y0, y1), max(y0, y1)) for x0, y0, x1, y1 in edges if x0 == x1]
+    # exact slopes: x1 - x0 = n*(X1 - X0) divides n*L, and y1 - y0 is a multiple of n*L
+    slanted = [(min(x0, x1), max(x0, x1), x0, y0, (y1 - y0) // (x1 - x0)) for x0, y0, x1, y1 in edges if x0 != x1]
+    row = d * ell
+    xs = [x for x, _ in corners]
     total = 0
-    for i in range(max(0, math.ceil(min(xs) * n)), min(n, math.floor(max(xs) * n)) + 1):
-        for y0, y1 in _column_runs(edges, Fraction(i, n)):
-            lo = max(i, math.ceil(y0 * n))
-            hi = min(n, math.floor(y1 * n))
+    for i in range(max(0, -(-min(xs) * n // d)), min(n, max(xs) * n // d) + 1):
+        for y0, y1 in _column_runs(slanted, walls, i * d):
+            lo = max(i, -(-y0 // row))
+            hi = min(n, y1 // row)
             if lo <= hi:
                 total += _span_sum(i, lo, hi, k)
     return total

@@ -51,10 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .bounds import beta_decomposition
-from .core_graph import (
+from .core_graph import (  # np: numpy, loaded on first use
     Params,
     Vertex,
     adjacent_class_max,
@@ -62,6 +60,7 @@ from .core_graph import (
     class_size,
     enumerate_vertices,
     is_vertex,
+    np,
     span_classes,
     vertex_count_formula,
 )

@@ -1,5 +1,5 @@
 """Test oracles: polygon measures by triangle fans, lattice counts one
-lattice point at a time.
+lattice point at a time, landmarks from their Fraction formulas.
 
 ``polygon_measure`` is the measure the library computed before its
 integer boundary sum: the simplicity test and the shoelace orientation
@@ -11,16 +11,23 @@ it counted column by column: every lattice point (i, j) of the domain
 triangle takes an exact boundary test against every edge, then, if it
 is off the boundary, the even-odd rule with a horizontal ray.
 
-Both share no code with ``bandgraph.geometry`` beyond ``Polygon.cleaned``,
-``GeometryError`` and ``class_size``, so the tests compare the library
-against them.
+``Landmarks`` is the landmark oracle: the Fraction formulas of
+``LandmarkPoints`` before the library tabulated every landmark once as
+ints over one denominator, with the same index and regime refusals.
+
+They share no code with ``bandgraph.geometry`` beyond ``Polygon.cleaned``,
+``GeometryError``, ``RatPoint`` and ``class_size`` (``Landmarks`` reads q, r
+and beta from the ``BetaDecomposition`` it is given), so the tests compare
+the library against them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+from bandgraph.bounds import BetaDecomposition
 from bandgraph.core_graph import class_size
 from bandgraph.geometry import GeometryError, Polygon, RatPoint
 
@@ -146,3 +153,69 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
             if point_on_boundary(px, py, pts) or point_strictly_inside(px, py, pts):
                 total += class_size(i, j, k)
     return total
+
+
+# ── landmarks from their Fraction formulas ────────────────────────────
+
+
+@dataclass(frozen=True)
+class Landmarks:
+    """The landmark oracle: each call computes its point afresh from the
+    formulas in the ``LandmarkPoints`` docstring, in Fractions."""
+
+    dec: BetaDecomposition
+
+    @property
+    def gamma(self) -> Fraction:
+        return self.dec.beta * (1 - Fraction(1, self.dec.q))
+
+    def _check(self, name: str, i: int, lo: int, hi: int) -> None:
+        if not lo <= i <= hi:
+            raise GeometryError(f"{name}_{i} undefined; valid range {lo}..{hi}")
+
+    def _low_only(self, name: str, i: int) -> None:
+        if self.dec.regime == "high" and i < self.dec.q:
+            raise GeometryError(f"{name}_{i} is a low-remainder landmark (regime is high)")
+
+    def A(self, i: int) -> RatPoint:
+        q, r, beta = self.dec.q, self.dec.r, self.dec.beta
+        self._check("A", i, 0, q + 1)
+        return RatPoint(i * r, i * r + q * (beta - r))
+
+    def B(self, i: int) -> RatPoint:
+        self._check("B", i, 1, self.dec.q + 1)
+        d = self.dec.r + (i - 1) * self.dec.beta
+        return RatPoint(d, d)
+
+    def C(self, i: int) -> RatPoint:
+        self._check("C", i, 0, self.dec.q)
+        return RatPoint(i * self.dec.beta, i * self.dec.beta)
+
+    def D(self, i: int) -> RatPoint:
+        self._check("D", i, 1, self.dec.q + 1)
+        self._low_only("D", i)
+        d = self.dec.r + (i - 1) * self.gamma
+        return RatPoint(d, d + self.dec.beta)
+
+    def E(self, i: int) -> RatPoint:
+        self._check("E", i, 0, self.dec.q)
+        self._low_only("E", i)
+        return RatPoint(i * self.gamma, i * self.gamma + self.dec.beta)
+
+    def F(self, i: int) -> RatPoint:
+        self._check("F", i, 0, self.dec.q + 1)
+        d = Fraction(i, self.dec.q + 1)
+        return RatPoint(d, d)
+
+    def G(self, i: int) -> RatPoint:
+        self._check("G", i, 0, self.dec.q + 1)
+        d = Fraction(i, self.dec.q + 1) * (1 - self.dec.beta)
+        return RatPoint(d, d + self.dec.beta)
+
+    @property
+    def H1(self) -> RatPoint:
+        return RatPoint(self.dec.r, self.dec.beta)
+
+    @property
+    def I(self) -> RatPoint:
+        return RatPoint(Fraction(0), Fraction(1))

@@ -3,9 +3,10 @@
 Oracles: the shoelace formula for k = 2 (where the measure is plain
 area), closed-form measures of axis-aligned shapes, the triangle-fan
 measure and Fraction simplicity test of geometry_oracle for
-polygon_measure, and brute-force lattice enumeration for
-region_vertex_count: a convex-hull test here, and the per-point
-boundary and even-odd tests of geometry_oracle.
+polygon_measure, brute-force lattice enumeration for
+region_vertex_count (a convex-hull test here, and the per-point
+boundary and even-odd tests of geometry_oracle), and the Fraction
+landmark formulas of geometry_oracle for LandmarkPoints.
 """
 
 import functools
@@ -240,6 +241,42 @@ class TestTrapezoid:
                 trapezoid_measure(F(0), t, F(1, 10), F(1, 5), 2)
 
 
+# both regimes (7/20 is the high one) and r = 0 (1/3, 1/2)
+ORACLE_BETAS = ("9/20", "7/20", "1/3", "1/2", "3/10", "5/12", "2/7")
+
+
+def _landmark_outcome(points, name: str, i: int):
+    try:
+        return ("point", getattr(points, name)(i))
+    except GeometryError as refusal:
+        return ("refused", str(refusal))
+
+
+def _landmark_outcomes(dec):
+    """(oracle, library) outcome pairs of every letter A..G at the indices
+    -1..q+2, which run past each letter's range on both sides."""
+    lm, oracle = landmark_points(dec), geometry_oracle.Landmarks(dec)
+    return [
+        (_landmark_outcome(oracle, name, i), _landmark_outcome(lm, name, i))
+        for name in "ABCDEFG"
+        for i in range(-1, dec.q + 3)
+    ]
+
+
+@pytest.fixture
+def fraction_births(monkeypatch):
+    """The list that gains one entry per ``Fraction`` made while the test runs."""
+    births = []
+    make = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        births.append(cls)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return births
+
+
 class TestLandmarks:
     def test_low_regime_pins(self):
         lm = landmark_points(beta_decomposition(F(9, 20)))
@@ -278,6 +315,34 @@ class TestLandmarks:
             lm.C(3)  # beyond q
         with pytest.raises(GeometryError):
             lm.B(0)  # B starts at 1
+
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_every_landmark_matches_the_oracle(self, beta):
+        dec = beta_decomposition(beta)
+        points = [(want, got) for want, got in _landmark_outcomes(dec) if want[0] == "point"]
+        assert len(points) >= 7 * dec.q
+        assert all(got == want for want, got in points)
+        lm, oracle = landmark_points(dec), geometry_oracle.Landmarks(dec)
+        assert (lm.H1, lm.I) == (oracle.H1, oracle.I)
+
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_refuses_with_the_oracle_messages(self, beta):
+        dec = beta_decomposition(beta)
+        refusals = [(want, got) for want, got in _landmark_outcomes(dec) if want[0] == "refused"]
+        assert all(got == want for want, got in refusals)
+        messages = [want[1] for want, _ in refusals]
+        assert any("valid range" in m for m in messages)
+        assert any("regime is high" in m for m in messages) == (dec.regime == "high")
+
+    def test_no_fraction_after_the_first_access(self, fraction_births):
+        lm = landmark_points(beta_decomposition(F(9, 20)))
+        lm.A(0)
+        fraction_births.clear()
+        for name in "ABCDEFG":
+            for i in range(1, 3):
+                getattr(lm, name)(i)
+        lm.H1, lm.I
+        assert not fraction_births
 
     def test_pinned_measures(self):
         lm = landmark_points(beta_decomposition(F(9, 20)))
@@ -322,20 +387,15 @@ def _angle_order(u, v) -> int:
     return -1 if cross > 0 else int(cross < 0)
 
 
-@st.composite
-def lattice_star_polygons(draw):
-    """(vertices, n): a simple polygon, in general not convex, with
-    corners on the grid of step 1/n or 1/(2n) in the domain triangle.
+def _star_polygon(draw, d: int):
+    """A simple polygon, in general not convex, with corners on the grid
+    of step 1/d in the domain triangle, in a drawn winding.
 
     The corners are sorted by angle around their centroid, keeping the
     farthest one in each direction.  The centroid of points that are not
     all collinear is interior to their hull, so consecutive corners are
-    less than a half turn apart and the polygon is star-shaped.  The grid
-    puts corners on lattice points and columns, and edges on columns
-    (vertical) and rows (horizontal); the winding is drawn too.
+    less than a half turn apart and the polygon is star-shaped.
     """
-    n = draw(st.integers(1, 12))
-    d = n * draw(st.sampled_from((1, 2)))
     cells = st.tuples(st.integers(0, d), st.integers(0, d)).map(sorted)
     pts = [(F(x, d), F(y, d)) for x, y in draw(st.lists(cells, min_size=3, max_size=8))]
     cx = sum(x for x, _ in pts) / len(pts)
@@ -349,7 +409,26 @@ def lattice_star_polygons(draw):
     assume(len(farthest) >= 3)
     order = sorted(farthest, key=functools.cmp_to_key(_angle_order))
     vertices = [farthest[u][1] for u in order]
-    return (vertices[::-1] if draw(st.booleans()) else vertices), n
+    return vertices[::-1] if draw(st.booleans()) else vertices
+
+
+@st.composite
+def lattice_star_polygons(draw):
+    """(vertices, n): a star polygon (``_star_polygon``) with corners on
+    the grid of step 1/n or 1/(2n).  The grid puts corners on lattice
+    points and columns, and edges on columns (vertical) and rows
+    (horizontal)."""
+    n = draw(st.integers(1, 12))
+    return _star_polygon(draw, n * draw(st.sampled_from((1, 2)))), n
+
+
+@st.composite
+def off_grid_star_polygons(draw):
+    """(vertices, n): a star polygon (``_star_polygon``) with corners on
+    the grid of step 1/m, m drawn apart from n, so that corners fall
+    between columns and crossings strictly between rows."""
+    n = draw(st.integers(1, 12))
+    return _star_polygon(draw, draw(st.sampled_from((3, 7, 12, 40, 2 * n)))), n
 
 
 @st.composite
@@ -487,6 +566,25 @@ class TestRegionCount:
         bowtie = Polygon([(0, 0), (F(1, 2), 1), (0, 1), (F(1, 2), F(1, 2))])
         with pytest.raises(GeometryError, match="simple"):
             region_vertex_count(bowtie, 8, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(off_grid_star_polygons(), st.integers(1, 4))
+    # a vertical edge on the column x = 1/2, a horizontal edge at y = 5/7
+    # between rows, and a vertical edge between columns, in both windings
+    @example(([(F(1, 7), F(2, 7)), (F(1, 2), F(4, 7)), (F(1, 2), F(5, 7)), (F(1, 7), F(5, 7))], 4), 2)
+    @example(([(F(1, 7), F(5, 7)), (F(1, 2), F(5, 7)), (F(1, 2), F(4, 7)), (F(1, 7), F(2, 7))], 4), 3)
+    def test_matches_per_point_oracle_off_the_lattice(self, case, k):
+        vertices, n = case
+        poly = Polygon(vertices)
+        assert region_vertex_count(poly, n, k) == geometry_oracle.region_vertex_count(poly, n, k)
+
+    def test_fraction_work_does_not_grow_with_n(self, fraction_births):
+        made = {}
+        for n in (50, 400):
+            fraction_births.clear()
+            region_vertex_count(band_polygon("2/5"), n, 2)
+            made[n] = len(fraction_births)
+        assert made[50] == made[400]
 
     def test_riemann_convergence_direction(self):
         beta = F(2, 5)

@@ -5,7 +5,8 @@ A name counts as used when the module reads it, when its dotted path
 (``import bandgraph.cli``) appears as an attribute chain, or when
 ``__all__`` re-exports it.  ``from __future__ import ...`` is exempt.
 
-Also: importing the package leaves networkx unloaded.
+Also: importing the package leaves networkx unloaded, and numpy unrun
+until a numbering needs it.
 """
 
 import ast
@@ -67,3 +68,19 @@ def test_import_bandgraph_leaves_networkx_unloaded():
     loaded = proc.stdout.split()
     assert "bandgraph" in loaded
     assert "networkx" not in loaded
+
+
+def test_geometry_leaves_numpy_unrun():
+    # numpy is bound lazily: lattice counts and identities never touch it
+    src = str(ROOT / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bandgraph as bg\n"
+        "bg.region_vertex_count(bg.band_polygon('2/5'), 50, 3); bg.verify_identities('9/20', 3)\n"
+        "print(any(m.startswith('numpy.') for m in sys.modules))\n"
+        "print(bg.bandwidth_of_numbering(bg.lex_numbering(bg.Params(8, 2, 3))))\n"
+        "print(any(m.startswith('numpy.') for m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.split() == ["False", "6", "True"]
