@@ -15,8 +15,9 @@ any two vertices in adjacent classes are adjacent, and classes
 That quotient structure keeps distance and bandwidth computations
 polynomial in n instead of in the (huge) vertex count: ``span_classes``
 lists the classes, ``adjacent_class_max`` takes a maximum over the
-classes adjacent to each class, and ``class_distances`` is the BFS built
-on that query.
+classes adjacent to each class, and ``class_distance`` is the distance
+between two classes in closed form (``class_distances``, the BFS built on
+the adjacency query, is its reference).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -62,8 +64,8 @@ __all__ = [
     "central_count",
     "is_central",
     "interval_distance",
-    "distance_upper_bound",
-    "graph_distance_bfs",
+    "class_distance",
+    "graph_distance",
     "diameter",
     "span_classes",
     "class_size",
@@ -138,9 +140,16 @@ def vertex_count_formula(p: Params) -> int:
 
 
 def is_vertex(t: tuple[int, ...], p: Params) -> bool:
+    """Whether ``t`` is a vertex: k strictly increasing integers (Python
+    or numpy) in [0, n] with span at most b.  Floats and ``Fraction``s are
+    not integers, whatever their value."""
     if len(t) != p.k:
         return False
-    if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+    try:
+        t = tuple(map(operator.index, t))
+    except TypeError:
+        return False
+    if not all(map(operator.lt, t, t[1:])):
         return False
     return 0 <= t[0] and t[-1] <= p.n and t[-1] - t[0] <= p.b
 
@@ -212,7 +221,8 @@ def adjacent_class_max(
     p: Params, lo: np.ndarray, hi: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """For each class (lo, hi), the maximum of the non-negative ``values``
-    over the classes adjacent to it, itself included.
+    over the classes adjacent to it, itself included.  ``values`` has one
+    row per class and any trailing axes, each column answered on its own.
 
     The classes adjacent to (lo1, hi1) fill the rectangle
     lo2 >= hi1 - b, hi2 <= lo1 + b.  Running maxima over the (lo, hi)
@@ -221,34 +231,36 @@ def adjacent_class_max(
     """
     n, b, width = p.n, p.b, _table_width(p)
     # top[a, w] = max value over classes with lo = a, hi <= a + w
-    top = np.zeros((n + 1, width + 1), dtype=np.int64)
+    top = np.zeros((n + 1, width + 1, *values.shape[1:]), dtype=values.dtype)
     top[lo, hi - lo] = values
     np.maximum.accumulate(top, axis=1, out=top)
     # table[c, w] = max value over classes with lo >= c - w, hi <= c
     c, w = np.arange(n + 1)[:, None], np.arange(width + 1)
-    table = np.where(c >= w, top[np.maximum(c - w, 0), w], 0)
+    table = top[np.maximum(c - w, 0), w]
+    table[c < w] = 0
     np.maximum.accumulate(table, axis=1, out=table)
     cols = np.minimum(lo + b, n)
     return table[cols, cols - np.maximum(hi - b, 0)]
 
 
-def class_distances(p: Params, source: tuple[int, int]) -> np.ndarray:
-    """BFS layer of every class of ``span_classes(p)``, in that order,
-    from the class ``source`` = (lo, hi); -1 where unreachable.
+def class_distances(p: Params) -> np.ndarray:
+    """BFS layers between every two classes of ``span_classes(p)``, as an
+    (m, m) matrix in that order; -1 where unreachable.
 
-    Each layer is one ``adjacent_class_max`` of the frontier's 0/1
-    indicator, O(n·b).  Distances are between distinct vertices, so the
-    source class reads 0.
+    The reference for ``class_distance``: all m sources advance together,
+    one boolean column each, so a layer is one ``adjacent_class_max``,
+    O(n·b·m).  Class distance is vertex distance: any neighbour of a class
+    member neighbours every member, so a shortest path never repeats a
+    class.  Distances are between distinct vertices, so the diagonal
+    reads 0.
     """
     lo, hi = span_classes(p).T
-    frontier = (lo == source[0]) & (hi == source[1])
-    if not frontier.any():
-        raise ValueError(f"{source} is not a class of G{p}")
+    frontier = np.eye(lo.size, dtype=bool)
     dist = np.where(frontier, 0, -1)
     layer = 0
     while frontier.any():
         layer += 1
-        frontier = (adjacent_class_max(p, lo, hi, frontier.astype(np.int64)) > 0) & (dist < 0)
+        frontier = adjacent_class_max(p, lo, hi, frontier) & (dist < 0)
         dist[frontier] = layer
     return dist
 
@@ -280,45 +292,34 @@ def interval_distance(i: int, j: int, p: Params) -> int:
     return -((j - i) // -(p.b - p.k + 1))
 
 
-def distance_upper_bound(x: Vertex, y: Vertex, p: Params) -> int:
-    """Upper bound ceil((max(Y)-min(X)-b)/(b-k+1)) + 1 on the distance.
+def class_distance(p: Params, lo1, hi1, lo2, hi2):
+    """Distance between vertices of two classes (lo1, hi1), (lo2, hi2),
+    distinct vertices if the classes coincide; ints, or int64 arrays that
+    broadcast.
 
-    Requires the ordering hypothesis min(X) < min(Y), or min(X) = min(Y)
-    and max(X) < max(Y); callers swap arguments to satisfy it.
+    With s = b-k+1 it is 1 + max(0, ceil((hi1-lo2-b)/s), ceil((hi2-lo1-b)/s)):
+    the classes are adjacent when both reaches hi1-lo2, hi2-lo1 are at
+    most b, each further hop shifts an end by at most s, and a walk of
+    interval vertices achieves that.
     """
     _require_connected_regime(p)
-    if not (x[0] < y[0] or (x[0] == y[0] and x[-1] < y[-1])):
-        raise ValueError(
-            "arguments must satisfy min(X) < min(Y), or equal minima with "
-            "max(X) < max(Y); swap them"
-        )
-    step = p.b - p.k + 1
-    gap = y[-1] - x[0] - p.b
-    return -(gap // -step) + 1
+    reach1, reach2 = hi1 - lo2 - p.b, hi2 - lo1 - p.b
+    # max(reach1, reach2, 0) as (x + y + |x - y|) / 2, for ints and arrays alike
+    far = (reach1 + reach2 + abs(reach1 - reach2)) // 2
+    far = (far + abs(far)) // 2
+    return 1 - (far // -(p.b - p.k + 1))
 
 
-def graph_distance_bfs(x: Vertex, y: Vertex, p: Params) -> int:
-    """Exact shortest-path distance between two vertices.
-
-    Read from the BFS on the span-class quotient (``class_distances``):
-    adjacency only depends on the classes, and repeating a class on a
-    shortest path never helps (any neighbour of a class member is a
-    neighbour of every member), so the quotient BFS distance equals the
-    vertex distance.
-    """
+def graph_distance(x: Vertex, y: Vertex, p: Params) -> int:
+    """Exact shortest-path distance between two vertices, read from
+    ``class_distance``: adjacency only depends on the classes."""
     if not (is_vertex(x, p) and is_vertex(y, p)):
         raise ValueError("both arguments must be vertices of G(n,k,b)")
     if x == y:
         return 0
-    if max(x[-1], y[-1]) - min(x[0], y[0]) <= p.b:
-        return 1
     if p.b == p.k - 1:
         raise ValueError("graph is edgeless (b = k-1); vertices unreachable")
-    lo, hi = span_classes(p).T
-    dist = int(class_distances(p, (x[0], x[-1]))[(lo == y[0]) & (hi == y[-1])][0])
-    if dist < 0:
-        raise ValueError(f"vertices {x} and {y} are not connected")
-    return dist
+    return int(class_distance(p, x[0], x[-1], y[0], y[-1]))
 
 
 def diameter(p: Params) -> int:

@@ -24,10 +24,11 @@ from .bounds import (
 )
 from .core_graph import (
     Params,
+    class_distance,
     class_distances,
     diameter,
-    distance_upper_bound,
     interval_distance,
+    np,
     span_classes,
     vertex_count_formula,
 )
@@ -171,29 +172,27 @@ def suite_numberings() -> SuiteResult:
 
 
 def suite_distances() -> SuiteResult:
-    """Class BFS (``core_graph.class_distances``) vs the interval-distance
-    and diameter formulas (n <= 20, k <= 4), and the two-sided bound
-    check: the distance upper bound dominates true distances on every
-    properly ordered class pair (n <= 14).
+    """All-sources class BFS (``core_graph.class_distances``) vs the
+    interval-distance and diameter formulas and the closed-form class
+    distance (n <= 20, k <= 4), and the two-sided bound check: the closed
+    form dominates the BFS on every properly ordered class pair (n <= 14).
 
-    The BFS runs from every interval class, and from every class where
-    n <= 14; each run serves all three checks.  Edgeless instances
-    (b = k-1) have no distances and are skipped."""
+    One BFS per instance serves every check.  Edgeless instances
+    (b = k-1) have no distances and are left out of the grid."""
     grid = [
         Params(n=n, k=k, b=b) for n in range(1, 21) for k in range(1, 5) for b in range(k, n + 1)
     ]
-    interval_failures, diameter_failures, bound_failures = [], [], []
-    interval_pairs = class_pairs = 0
+    interval_failures, diameter_failures, bound_failures, closed_failures = [], [], [], []
+    interval_pairs = class_pairs = closed_pairs = 0
     for p in grid:
         n, k, tag = p.n, p.k, f"({p.n},{p.k},{p.b})"
         intervals = n - k + 2
         interval_pairs += intervals * (intervals + 1) // 2
-        classes = span_classes(p).tolist()
-        # the interval classes come first, by ascending lo; the first one
-        # reaches everything at maximal depth, so where n > 14 the
-        # interval rows alone still give the diameter
-        sources = classes if n <= 14 else classes[:intervals]
-        rows = [class_distances(p, source).tolist() for source in sources]
+        lo, hi = span_classes(p).T
+        classes = list(zip(lo.tolist(), hi.tolist()))
+        dist, closed = class_distances(p), class_distance(p, lo[:, None], hi[:, None], lo, hi)
+        rows, closed_rows = dist.tolist(), closed.tolist()
+        # the interval classes come first, by ascending lo
         for i in range(intervals):
             for j in range(i, intervals):
                 got, want = rows[i][j], interval_distance(i, j, p)
@@ -201,30 +200,25 @@ def suite_distances() -> SuiteResult:
                     interval_failures.append(
                         Check(f"interval{tag} {i}->{j}", False, f"bfs={got} formula={want}")
                     )
-        got, want = max(map(max, rows)), diameter(p)
+        got, want = int(dist.max()), diameter(p)
         if got != want:
-            label = "bfs" if n <= 14 else "interval-max"
-            diameter_failures.append(
-                Check(f"diameter{tag}", False, f"{label}={got} formula={want}")
+            diameter_failures.append(Check(f"diameter{tag}", False, f"bfs={got} formula={want}"))
+        # distinct classes only: the BFS reads 0 from a class to itself
+        closed_pairs += lo.size * (lo.size - 1)
+        mismatches = np.argwhere((closed != dist) & ~np.eye(lo.size, dtype=bool))
+        for i, j in mismatches[:3].tolist():
+            detail = f"bfs={rows[i][j]} closed={closed_rows[i][j]}"
+            closed_failures.append(
+                Check(f"closed-form{tag} {classes[i]}->{classes[j]}", False, detail)
             )
         if n > 14 or k == 1:
             continue
-        for (lo1, hi1), row in zip(classes, rows):
-            for (lo2, hi2), got in zip(classes, row):
-                if (lo1, hi1) >= (lo2, hi2):
-                    continue
-                x = tuple(range(lo1, lo1 + k - 1)) + (hi1,)
-                y = tuple(range(lo2, lo2 + k - 1)) + (hi2,)
-                bound = distance_upper_bound(x, y, p)
-                class_pairs += 1
-                if got > bound:
-                    bound_failures.append(
-                        Check(
-                            f"bound{tag} {(lo1, hi1)}->{(lo2, hi2)}",
-                            False,
-                            f"bfs={got} bound={bound}",
-                        )
-                    )
+        # the ordered pairs (lo1, hi1) < (lo2, hi2)
+        ordered = (lo[:, None] < lo) | ((lo[:, None] == lo) & (hi[:, None] < hi))
+        class_pairs += int(ordered.sum())
+        for i, j in np.argwhere(ordered & (dist > closed)).tolist():
+            detail = f"bfs={rows[i][j]} bound={closed_rows[i][j]}"
+            bound_failures.append(Check(f"bound{tag} {classes[i]}->{classes[j]}", False, detail))
     checks = [
         *_tally(
             "interval-distance(n<=20,k<=4)",
@@ -235,6 +229,12 @@ def suite_distances() -> SuiteResult:
         *_tally("diameter(n<=20,k<=4)", diameter_failures, f"{len(grid)} instances checked"),
         *_tally(
             "upper-bound-dominates(n<=14)", bound_failures, f"{class_pairs} ordered class pairs"
+        ),
+        *_tally(
+            "closed-form-equals-bfs(n<=20,k<=4)",
+            closed_failures,
+            f"{closed_pairs} ordered class pairs",
+            shown=3,
         ),
     ]
     return _result("distances", checks)

@@ -69,7 +69,7 @@ def test_criterion_03_flat_band_pins():
 
 
 def test_criterion_04_distance_and_diameter_formulas():
-    result = run_one("distances", 120)
+    result = run_one("distances", 3)
     assert result.passed, result.failures()
 
 

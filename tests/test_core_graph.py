@@ -4,8 +4,12 @@ Oracles: brute-force subset enumeration for membership/counts, and
 networkx BFS on the explicitly built graph for distances.
 """
 
+import functools
 import itertools
 import math
+import time
+import tracemalloc
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -18,12 +22,13 @@ from bandgraph.core_graph import (
     adjacent_class_max,
     are_adjacent,
     central_count,
+    class_distance,
+    class_distances,
     class_size,
     comb0,
     diameter,
-    distance_upper_bound,
     enumerate_vertices,
-    graph_distance_bfs,
+    graph_distance,
     interval_distance,
     is_central,
     is_vertex,
@@ -53,6 +58,11 @@ def build_graph(p: Params) -> nx.Graph:
         if brute_adjacent(x, y, p.b):
             g.add_edge(x, y)
     return g
+
+
+@functools.cache
+def nx_lengths(p: Params) -> dict:
+    return dict(nx.all_pairs_shortest_path_length(build_graph(p)))
 
 
 SMALL_GRID = [
@@ -106,6 +116,15 @@ class TestCounting:
             assert is_vertex(x, p) == (x in members)
         assert not is_vertex((0,) * p.k, p) or p.k == 1
         assert not is_vertex(tuple(range(p.k - 1)) + (p.n + 5,), p)
+
+    def test_is_vertex_wants_integer_entries(self):
+        p = Params(n=6, k=2, b=3)
+        assert is_vertex((np.int64(0), np.int32(2)), p)
+        assert not is_vertex((0, 2**70), p)
+        for bad in [(0, 2.5), (0, 2.0), (0, Fraction(2)), (np.float64(0), 2), ("0", 2)]:
+            assert not is_vertex(bad, p)
+            with pytest.raises(ValueError, match="must be vertices"):
+                graph_distance(bad, (1, 2), p)
 
     def test_second_counting_form(self):
         # (n+1)·C(b,k-1) - (k-1)·C(b+1,k) equals the implemented form
@@ -191,52 +210,80 @@ class TestAdjacency:
         assert are_adjacent(x, y, p) == two_sided
 
 
-class TestDistances:
-    @pytest.mark.parametrize(
-        "p", [q for q in SMALL_GRID if q.b >= q.k and q.n <= 7], ids=str
-    )
-    def test_bfs_matches_networkx(self, p):
-        g = build_graph(p)
-        lengths = dict(nx.all_pairs_shortest_path_length(g))
-        for x, y in itertools.combinations(g.nodes, 2):
-            assert graph_distance_bfs(x, y, p) == lengths[x][y]
+SMALL_CONNECTED = [q for q in SMALL_GRID if q.b >= q.k and q.n <= 7]
 
-    @pytest.mark.parametrize(
-        "p", [q for q in SMALL_GRID if q.b >= q.k and q.n <= 7], ids=str
-    )
+
+def class_representative(lo: int, hi: int, k: int) -> tuple[int, ...]:
+    return tuple(range(lo, lo + k - 1)) + (hi,)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("p", SMALL_CONNECTED, ids=str)
+    def test_bfs_matches_networkx(self, p):
+        # the all-sources class BFS, on one representative per class
+        lengths = nx_lengths(p)
+        dist = class_distances(p)
+        assert (dist == dist.T).all()
+        reps = [class_representative(lo, hi, p.k) for lo, hi in span_classes(p).tolist()]
+        for (i, x), (j, y) in itertools.combinations(enumerate(reps), 2):
+            assert dist[i, j] == lengths[x][y]
+
+    @pytest.mark.parametrize("p", SMALL_CONNECTED, ids=str)
+    def test_graph_distance_matches_networkx(self, p):
+        lengths = nx_lengths(p)
+        for x, y in itertools.product(lengths, repeat=2):
+            assert graph_distance(x, y, p) == lengths[x][y]
+
+    @pytest.mark.parametrize("p", SMALL_CONNECTED, ids=str)
     def test_interval_and_diameter_match_networkx(self, p):
-        g = build_graph(p)
-        lengths = dict(nx.all_pairs_shortest_path_length(g))
+        lengths = nx_lengths(p)
         for i in range(p.n - p.k + 2):
             x = tuple(range(i, i + p.k))
             for j in range(i, p.n - p.k + 2):
                 y = tuple(range(j, j + p.k))
                 assert interval_distance(i, j, p) == lengths[x][y]
-        assert diameter(p) == nx.diameter(g)
+        assert diameter(p) == max(max(row.values()) for row in lengths.values())
 
-    @pytest.mark.parametrize(
-        "p", [q for q in SMALL_GRID if q.b >= q.k and q.n <= 7], ids=str
-    )
+    @pytest.mark.parametrize("p", SMALL_CONNECTED, ids=str)
     def test_upper_bound_dominates(self, p):
-        g = build_graph(p)
-        lengths = dict(nx.all_pairs_shortest_path_length(g))
-        for x, y in itertools.combinations(sorted(g.nodes), 2):
+        # on ordered pairs the closed form is the one-sided bound
+        # 1 + ceil((max(Y)-min(X)-b)/(b-k+1)), and it is exact
+        lengths = nx_lengths(p)
+        for x, y in itertools.combinations(sorted(lengths), 2):
             if x[0] < y[0] or (x[0] == y[0] and x[-1] < y[-1]):
-                assert distance_upper_bound(x, y, p) >= lengths[x][y]
+                assert class_distance(p, x[0], x[-1], y[0], y[-1]) == lengths[x][y]
+
+    def test_closed_form_broadcasts_over_arrays(self):
+        p = Params(n=12, k=3, b=5)
+        lo, hi = span_classes(p).T
+        table = class_distance(p, lo[:, None], hi[:, None], lo, hi)
+        classes = span_classes(p).tolist()
+        assert table.tolist() == [
+            [class_distance(p, lo1, hi1, lo2, hi2) for lo2, hi2 in classes] for lo1, hi1 in classes
+        ]
 
     def test_pinned_example(self):
         # G(10, 2, 3): from {0,1} to {9,10} takes ceil(9/2) = 5 hops
         p = Params(n=10, k=2, b=3)
         assert interval_distance(0, 9, p) == 5
-        assert graph_distance_bfs((0, 1), (9, 10), p) == 5
+        assert graph_distance((0, 1), (9, 10), p) == 5
         assert diameter(p) == 5
 
-    def test_upper_bound_requires_ordering(self):
-        p = Params(n=6, k=2, b=3)
-        with pytest.raises(ValueError):
-            distance_upper_bound((2, 3), (0, 1), p)
-        with pytest.raises(ValueError):
-            distance_upper_bound((0, 3), (0, 2), p)
+    def test_end_intervals_at_a_million_in_closed_form(self):
+        # a class table here would hold millions of cells; the closed form none
+        p = Params(n=10**6, k=2, b=3)
+        x, y = (0, 1), (p.n - 1, p.n)
+        start = time.perf_counter()
+        got = graph_distance(x, y, p)
+        assert time.perf_counter() - start < 0.01
+        assert got == diameter(p) == 500000
+        tracemalloc.start()
+        try:
+            graph_distance(x, y, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_edgeless_regime_raises(self):
         p = Params(n=5, k=2, b=1)
@@ -245,14 +292,16 @@ class TestDistances:
         with pytest.raises(ValueError):
             interval_distance(0, 2, p)
         with pytest.raises(ValueError):
-            graph_distance_bfs((0, 1), (2, 3), p)
+            graph_distance((0, 1), (2, 3), p)
+        with pytest.raises(ValueError):
+            class_distance(p, 0, 1, 2, 3)
         # adjacent pairs are still fine: {0,1} ~ {0,1} only via identity
-        assert graph_distance_bfs((0, 1), (0, 1), p) == 0
+        assert graph_distance((0, 1), (0, 1), p) == 0
 
     def test_k1_distances(self):
         p = Params(n=9, k=1, b=2)
         # |x - y| <= b adjacency; distance is ceil(gap / b)
-        assert graph_distance_bfs((0,), (9,), p) == 5
+        assert graph_distance((0,), (9,), p) == 5
         assert interval_distance(0, 9, p) == 5
         assert diameter(p) == 5
 
@@ -263,9 +312,8 @@ class TestDistances:
             return
         i = data.draw(st.integers(min_value=0, max_value=p.n - p.k + 1))
         j = data.draw(st.integers(min_value=i, max_value=p.n - p.k + 1))
-        x = tuple(range(i, i + p.k))
-        y = tuple(range(j, j + p.k))
-        assert interval_distance(i, j, p) == graph_distance_bfs(x, y, p)
+        # the interval classes come first in span_classes order
+        assert interval_distance(i, j, p) == class_distances(p)[i, j]
 
 
 def test_diameter_formula_value():

@@ -109,6 +109,23 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match="^" + re.escape(f"{bad} is not a vertex of G")):
             custom_numbering(p, order)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 0.5), (0, 1.0), (Fraction(0), 1), (0, np.float64(1))],
+        ids=["half", "whole-float", "fraction", "numpy-float"],
+    )
+    def test_non_integer_entries_are_not_vertices(self, bad):
+        # (0, 1) is missing, so no entry stands in for it
+        p = Params(n=3, k=2, b=1)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad} is not a vertex of G")):
+            custom_numbering(p, [bad, (1, 2), (2, 3)])
+
+    def test_numpy_integer_entries_are_vertices(self):
+        p = Params(n=4, k=2, b=2)
+        order = list(enumerate_vertices(p))
+        f = custom_numbering(p, [tuple(map(np.int64, v)) for v in order])
+        assert f == custom_numbering(p, order)
+
     def test_first_non_vertex_is_reported(self):
         # a wrong-length entry after a bad full-length one: the first wins
         p = Params(n=4, k=2, b=2)
