@@ -12,8 +12,13 @@ import sys
 from fractions import Fraction
 
 from bandgraph.bounds import beta_decomposition, coefficients, unresolved_beta_measure
-from bandgraph.core_graph import Params, vertex_count_formula
-from bandgraph.geometry import band_polygon, omega_polygon, polygon_measure, verify_identities
+from bandgraph.geometry import (
+    band_polygon,
+    omega_polygon,
+    polygon_measure,
+    region_vertex_count,
+    verify_identities,
+)
 
 
 def parse_args(argv=None):
@@ -59,7 +64,7 @@ def main(argv=None) -> int:
         if b.denominator != 1:
             print(f"  n = {n}: beta*n = {b} not integral, skipped", file=sys.stderr)
             continue
-        count = vertex_count_formula(Params(n=n, k=k, b=int(b)))
+        count = region_vertex_count(band_polygon(beta), n, k)
         err = abs(Fraction(count, n**k) - band)
         print(f"  n = {n:6d}  count = {count:12d}  count/n^k - measure = {float(err):.3e}")
 

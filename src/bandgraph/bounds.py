@@ -123,12 +123,9 @@ def exact_bandwidth_large_b(p: Params) -> int:
 
     The value is both a lower bound (any numbering stretches an edge at
     a central vertex this far) and the bandwidth of the mirror
-    numbering, hence exact.
+    numbering, hence exact.  ``central_lower_bound`` refuses the empty
+    central set, C(2b-n+1, k) = 0, which is the case 2b < n+k-1.
     """
-    if 2 * p.b < p.n + p.k - 1:
-        raise ValueError(
-            f"needs 2b >= n+k-1 (central set nonempty); got n={p.n}, k={p.k}, b={p.b}"
-        )
     return central_lower_bound(p)
 
 

@@ -123,10 +123,6 @@ def enumerate_vertices(p: Params) -> Iterator[Vertex]:
     (lo, min(lo + b, n)], which bounds the span by b automatically.
     """
     n, k, b = p.n, p.k, p.b
-    if k == 1:
-        for lo in range(n + 1):
-            yield (lo,)
-        return
     for lo in range(n - k + 2):
         window = range(lo + 1, min(lo + b, n) + 1)
         for rest in itertools.combinations(window, k - 1):
@@ -277,10 +273,8 @@ def _require_connected_regime(p: Params) -> None:
 
 
 def interval_distance(i: int, j: int, p: Params) -> int:
-    """Distance between the interval vertices [i, i+k-1] and [j, j+k-1].
-
-    Each hop moves the window by at most b-k+1 positions, and a greedy
-    walk achieves exactly that, giving ceil((j-i)/(b-k+1)).
+    """Distance between the interval vertices [i, i+k-1] and [j, j+k-1],
+    ceil((j-i)/(b-k+1)): ``class_distance`` on their classes.
     """
     _require_connected_regime(p)
     if i > j:
@@ -289,7 +283,7 @@ def interval_distance(i: int, j: int, p: Params) -> int:
         raise ValueError("interval start out of range")
     if i == j:
         return 0
-    return -((j - i) // -(p.b - p.k + 1))
+    return class_distance(p, i, i + p.k - 1, j, j + p.k - 1)
 
 
 def class_distance(p: Params, lo1, hi1, lo2, hi2):
@@ -312,20 +306,18 @@ def class_distance(p: Params, lo1, hi1, lo2, hi2):
 
 def graph_distance(x: Vertex, y: Vertex, p: Params) -> int:
     """Exact shortest-path distance between two vertices, read from
-    ``class_distance``: adjacency only depends on the classes."""
+    ``class_distance``: adjacency only depends on the classes.  It refuses
+    two distinct vertices of the edgeless graph (b = k-1)."""
     if not (is_vertex(x, p) and is_vertex(y, p)):
         raise ValueError("both arguments must be vertices of G(n,k,b)")
     if x == y:
         return 0
-    if p.b == p.k - 1:
-        raise ValueError("graph is edgeless (b = k-1); vertices unreachable")
     return int(class_distance(p, x[0], x[-1], y[0], y[-1]))
 
 
 def diameter(p: Params) -> int:
-    """Graph diameter ceil((n-k+1)/(b-k+1)).
-
-    The two extreme interval vertices realize it, and no pair exceeds it.
+    """Graph diameter ceil((n-k+1)/(b-k+1)): the distance between the
+    end classes (0, k-1) and (n-k+1, n), whose interval vertices realize
+    it; no pair exceeds it.
     """
-    _require_connected_regime(p)
-    return -((p.n - p.k + 1) // -(p.b - p.k + 1))
+    return class_distance(p, 0, p.k - 1, p.n - p.k + 1, p.n)

@@ -478,9 +478,8 @@ def _column_runs(slanted, walls, c: int) -> list[tuple[int, int]]:
 
 def _span_sum(i: int, lo: int, hi: int, k: int) -> int:
     """Vertices with min = i and max in lo..hi, for i <= lo <= hi:
-    the sum of C(j-i-1, k-2) over j, by the hockey-stick identity."""
-    if k == 1:
-        return int(lo == i)
+    the sum of C(j-i-1, k-2) over j, by the hockey-stick identity
+    (at k = 1, 1 when lo = i and 0 otherwise)."""
     return comb0(hi - i, k - 1) - comb0(lo - 1 - i, k - 1)
 
 

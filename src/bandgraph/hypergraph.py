@@ -6,7 +6,11 @@ per hyperedge; two hyperedges adjacent iff their union is pairwise
 joined in the 2-section).  The minimum number of weak cliques needed to
 cover all hyperedges equals the minimum vertex clique cover of the weak
 edge clique graph — ``check_cover_equivalence`` verifies that on
-explicit instances with two independent exact solvers.
+explicit instances.  Its two set systems are built independently (the
+maximal cliques of the 2-section, as covers of the hyperedges, and the
+maximal cliques of the weak edge clique graph, as covers of its nodes);
+both go through one exact set-cover search over networkx's maximal
+cliques.
 
 The bridge to G(n, k, b): the hypergraph on [0, n] whose edges are all
 k-subsets of span <= b has G(n, k, b) as its weak edge clique graph

@@ -47,6 +47,7 @@ its adjacent classes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -287,37 +288,18 @@ class _Lex:
         return self.below[lo] + below.sum(axis=0)
 
 
-def _combinations(table: np.ndarray, m: int, r: int) -> np.ndarray:
-    """The r-subsets of {0..m-1} in lex order, shape (r, C(m, r)).
-
-    The subsets of {m-c..m-1} are the last C(c, r); so the subsets
-    starting at a are a followed by the last C(m-1-a, r-1) of the
-    (r-1)-subsets of {0..m-2}, each element shifted by one.  Built up
-    from the empty subset, one element at a time.
-    """
-    subsets = np.zeros((0, 1), dtype=np.int64)
-    for j in range(1, r + 1):
-        size = m - r + j  # j-subsets of {0..size-1}
-        a = np.arange(max(size - j + 1, 0))
-        lens = _comb(table, size - 1 - a, j - 1)
-        src = np.arange(lens.sum()) + np.repeat(subsets.shape[1] - np.cumsum(lens), lens)
-        grown = np.empty((j, len(src)), dtype=np.int64)
-        grown[0] = np.repeat(a, lens)
-        np.add(subsets.take(src, axis=1), 1, out=grown[1:])
-        subsets = grown
-    return subsets
-
-
 def _class_members(table: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     """The vertices of each class (lo, hi) in turn, each class in lex
     order, shape (k, count): the middle k-2 elements of a class with
-    N = hi-lo-1 run over the last C(N, k-2) of one lex list of
-    (k-2)-subsets, shifted."""
+    N = hi-lo-1 run over the last C(N, k-2) of the lex list of
+    (k-2)-subsets of {0..m-1}, shifted, as the subsets of {m-N..m-1}
+    come last."""
     if k == 1:
         return lo[None, :]
     inner_size = hi - lo - 1
     m = int(inner_size.max(initial=0))
-    inner = _combinations(table, m, k - 2)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), k - 2))
+    inner = np.fromiter(subsets, dtype=np.int64).reshape(_comb(table, m, k - 2), k - 2).T
     lens = _comb(table, inner_size, k - 2)
     src = np.arange(lens.sum()) + np.repeat(inner.shape[1] - np.cumsum(lens), lens)
     members = np.empty((k, len(src)), dtype=np.int64)
@@ -417,18 +399,6 @@ class _MirrorLabels:
             low_rank + np.searchsorted(self.left_pal, rank) + 1,
         )
 
-    def vertex_labels(self, vertices: np.ndarray) -> np.ndarray:
-        """The label of each vertex of a (k, count) list."""
-        n, b = self.p.n, self.p.b
-        lo, hi = vertices[0], vertices[-1]
-        rank = self.everything.ranks(vertices)
-        odd = np.searchsorted(self.everything.ranks(self.pal), rank) % 2 == 1
-        right = (lo + hi > n) | ((lo + hi == n) & odd)
-        ranked = np.where(right, self._reflect(vertices), vertices)
-        labels = self._wing_labels(self.low.ranks(ranked), self.everything.ranks(ranked), right)
-        central = (lo >= n - b) & (hi <= b)
-        return np.where(central, self.r0_size + self.central.ranks(vertices) + 1, labels)
-
     def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, first, last) of every class.
 
@@ -473,10 +443,20 @@ class _MirrorLabels:
         return lo, hi, first, last
 
     def order(self) -> list[list[int]]:
-        """Every vertex, in label order."""
+        """Every vertex, in label order: the blocks r0, central and r1,
+        r0 and central in lex order and r1 in descending lex order of the
+        images, which is ascending lex order of the negated images."""
+        n, b = self.p.n, self.p.b
         lo, hi = span_classes(self.p).T
-        vertices = _class_members(_binomials(self.p), lo, hi, self.p.k)
-        return vertices[:, np.argsort(self.vertex_labels(vertices))].T.tolist()
+        # every class but the non-central palindromic ones, listed in self.pal
+        listed = (lo + hi != n) | ((lo >= n - b) & (hi <= b))
+        vertices = _class_members(_binomials(self.p), lo[listed], hi[listed], self.p.k)
+        central = (vertices[0] >= n - b) & (vertices[-1] <= b)
+        high = vertices[0] + vertices[-1] > n
+        block = np.concatenate((np.where(central, 1, 2 * high), 2 * self.pal_odd))
+        vertices = np.concatenate((vertices, self.pal), axis=1)
+        keys = np.where(block == 2, -self._reflect(vertices), vertices)
+        return vertices[:, np.lexsort((*keys[::-1], block))].T.tolist()
 
 
 def mirror_numbering(p: Params) -> Numbering:

@@ -126,8 +126,6 @@ def exact_bandwidth_with_witness(
         raise CapacityError(
             f"{m} vertices exceeds the exact-search cap {cap}; use bounds/numberings"
         )
-    if m == 0:
-        return 0, ()
     lower = max((-(-len(a) // 2) for a in _adjacency_lists(g)), default=0)
     upper = _identity_width(g)
     for width in range(lower, upper + 1):

@@ -83,11 +83,12 @@ def _result(name: str, checks: list[Check]) -> SuiteResult:
 
 
 def _tally(
-    summary_id: str, failures: list[Check], detail: str, shown: int | None = None
+    summary_id: str, failures: list[Check], detail: str, shown: int | None = 3
 ) -> list[Check]:
     """A check family's report: its failing checks (the first ``shown``,
-    or all of them), then its summary check, which passes when none
-    failed."""
+    or all of them where ``shown`` is None), then its summary check, which
+    passes when none failed.  Three by default, as one fault can fail a
+    family on every instance or pair it checks."""
     return [*failures[:shown], Check(id=summary_id, passed=not failures, detail=detail)]
 
 
@@ -153,7 +154,7 @@ def suite_numberings() -> SuiteResult:
             failures.append(
                 Check(f"mirror({p.n},{p.k},{p.b})", False, f"bandwidth={got} formula={want}")
             )
-    checks = _tally("mirror(k=2,3,4; n<=40)", failures, f"{len(grid)} instances", shown=3)
+    checks = _tally("mirror(k=2,3,4; n<=40)", failures, f"{len(grid)} instances")
 
     for k, b, pinned, ns in ((2, 3, 6, (50, 100, 200, 400)), (3, 4, 12, (100, 200, 400))):
         for n in ns:
@@ -221,12 +222,11 @@ def suite_distances() -> SuiteResult:
             bound_failures.append(Check(f"bound{tag} {classes[i]}->{classes[j]}", False, detail))
     checks = [
         *_tally(
-            "interval-distance(n<=20,k<=4)",
-            interval_failures,
-            f"{interval_pairs} pairs checked",
-            shown=3,
+            "interval-distance(n<=20,k<=4)", interval_failures, f"{interval_pairs} pairs checked"
         ),
-        *_tally("diameter(n<=20,k<=4)", diameter_failures, f"{len(grid)} instances checked"),
+        *_tally(
+            "diameter(n<=20,k<=4)", diameter_failures, f"{len(grid)} instances checked", shown=None
+        ),
         *_tally(
             "upper-bound-dominates(n<=14)", bound_failures, f"{class_pairs} ordered class pairs"
         ),
@@ -234,7 +234,6 @@ def suite_distances() -> SuiteResult:
             "closed-form-equals-bfs(n<=20,k<=4)",
             closed_failures,
             f"{closed_pairs} ordered class pairs",
-            shown=3,
         ),
     ]
     return _result("distances", checks)
@@ -369,7 +368,7 @@ def suite_cover_equivalence(random_count: int = 500, seed: int = 7) -> SuiteResu
                 failures.append(
                     Check(f"cover-exhaustive(m={m},edges={edges})", False, "numbers differ")
                 )
-    checks = _tally("cover-exhaustive(<=4 vertices)", failures, f"{total} instances", shown=3)
+    checks = _tally("cover-exhaustive(<=4 vertices)", failures, f"{total} instances")
 
     rng = random.Random(seed)
     failures = []
@@ -381,10 +380,7 @@ def suite_cover_equivalence(random_count: int = 500, seed: int = 7) -> SuiteResu
                 Check(f"cover-random#{t}", False, f"m={m} edges={[sorted(e) for e in h.edges]}")
             )
     checks += _tally(
-        f"cover-random(x{random_count},seed={seed})",
-        failures,
-        f"{random_count} instances",
-        shown=3,
+        f"cover-random(x{random_count},seed={seed})", failures, f"{random_count} instances"
     )
     return _result("cover-equivalence", checks)
 
@@ -402,7 +398,7 @@ def suite_transform() -> SuiteResult:
         for p in grid
         if not transform_equals_band_graph(p)
     ]
-    checks = _tally("transform(n<=10,k=2..3)", failures, f"{len(grid)} instances")
+    checks = _tally("transform(n<=10,k=2..3)", failures, f"{len(grid)} instances", shown=None)
     return _result("transform", checks)
 
 
@@ -445,7 +441,7 @@ def suite_meta(random_count: int = 100, seed: int = 7) -> SuiteResult:
                     Check(f"spread(beta={beta},k={k})", False, f"c2/c3={float(co.c2 / co.c3):.3f}")
                 )
     checks += _tally(
-        f"c2/c3 >= 6 (x{random_count} betas, seed={seed})", failures, "k in 2..5 each"
+        f"c2/c3 >= 6 (x{random_count} betas, seed={seed})", failures, "k in 2..5 each", shown=None
     )
     return _result("meta", checks)
 

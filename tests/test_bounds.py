@@ -152,6 +152,11 @@ class TestFiniteBounds:
         m, c = vertex_count_formula(p), central_count(p)
         assert value == -((m + c - 2) // -2)
 
+    def test_large_b_refuses_empty_central_set(self):
+        # 2b = n+k-2: one short of the first central vertex
+        with pytest.raises(ValueError, match="central set is empty"):
+            exact_bandwidth_large_b(Params(n=10, k=2, b=5))
+
     def test_central_lower_bound_equals_value(self):
         for n, k, b in [(4, 2, 3), (5, 2, 4), (6, 3, 5), (7, 4, 6), (9, 2, 6)]:
             p = Params(n=n, k=k, b=b)

@@ -2,9 +2,14 @@
 
 Output rows are pinned byte-for-byte where the contract promises
 deterministic CSV; everything else checks substrings and exit codes.
+``TestGoldenOutput`` pins a whole sweep CSV and a run of ``info``
+reports to ``sweep.golden.csv`` and ``info.golden.txt``; a change to
+either output fails it until the file is regenerated with the argv
+below and the change is logged.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,25 @@ from bandgraph.numbering import palindromic_vertex_count
 from bandgraph.suites import Check, SuiteResult
 
 HEADER = "n,k,b,beta,q,r,case,method,bandwidth,ratio,c1,c2,c3,lower_coeff,upper_coeff,error"
+TESTS = Path(__file__).parent
+SWEEP_ARGV = [
+    "sweep",
+    "--k",
+    "1,2,3,4",
+    "--pairs",
+    "10:3,20:7,40:18,60:21,100:35,120:40",
+    "--method",
+    "lex,mirror,low_remainder,high_remainder",
+]
+INFO_PARAMS = [
+    (10, 2, 3),
+    (20, 2, 9),
+    (6, 3, 2),
+    (1000, 3, 300),
+    (50000, 2, 3),
+    (40000, 1, 19999),
+    (5, 2, 1),
+]
 
 
 class TestInfo:
@@ -306,6 +330,17 @@ class TestSweep:
         assert main(argv) == 2
 
 
+class TestGoldenOutput:
+    def test_sweep_csv_bytes(self, capsys):
+        assert main(SWEEP_ARGV) == 0
+        assert capsys.readouterr().out == (TESTS / "sweep.golden.csv").read_bytes().decode()
+
+    def test_info_reports(self, capsys):
+        for n, k, b in INFO_PARAMS:
+            assert main(["info", "--n", str(n), "--k", str(k), "--b", str(b)]) == 0
+        assert capsys.readouterr().out == (TESTS / "info.golden.txt").read_bytes().decode()
+
+
 class TestVerify:
     def test_passing_suite_exit_0(self, capsys):
         assert main(["verify", "identities"]) == 0
@@ -339,6 +374,22 @@ class TestVerify:
         assert len(lines) == 13
         assert all(line.startswith("  [PASS] lex-pin(") for line in lines[5:12])
         assert lines[12] == "result: FAIL (11 checks)"
+
+    def test_distance_fault_reports_three_bound_failures(self, capsys, monkeypatch):
+        # a closed form without its second reach term undercuts the BFS on
+        # thousands of ordered pairs; the family shows only three of them
+        def one_sided(p, lo1, hi1, lo2, hi2):
+            far = hi1 - lo2 - p.b
+            return 1 - ((far + abs(far)) // 2 // -(p.b - p.k + 1))
+
+        monkeypatch.setattr(bandgraph.suites, "class_distance", one_sided)
+        assert main(["verify", "distances"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        summary = [line.startswith("  [FAIL] upper-bound-dominates(n<=14)") for line in lines]
+        before = lines[: summary.index(True)]
+        bounds = [line for line in before if line.startswith("  [FAIL] bound(")]
+        assert len(bounds) == 3
+        assert len(lines) == 12
 
     def test_fault_reports_every_failure_then_summary(self, capsys, monkeypatch):
         monkeypatch.setattr(bandgraph.suites, "transform_equals_band_graph", lambda p: p.n % 3)

@@ -292,6 +292,8 @@ class TestDistances:
         with pytest.raises(ValueError):
             interval_distance(0, 2, p)
         with pytest.raises(ValueError):
+            interval_distance(1, 1, p)
+        with pytest.raises(ValueError):
             graph_distance((0, 1), (2, 3), p)
         with pytest.raises(ValueError):
             class_distance(p, 0, 1, 2, 3)

@@ -504,7 +504,7 @@ def brute_lattice_count(hull_ccw, n: int, k: int, include_boundary: bool) -> int
 
 class TestRegionCount:
     def test_omega_counts_all_vertices(self):
-        for n, k in ((8, 2), (8, 3), (10, 2), (6, 4)):
+        for n, k in ((8, 2), (8, 3), (10, 2), (6, 4), (1, 1), (8, 1)):
             assert region_vertex_count(omega_polygon(), n, k) == math.comb(n + 1, k)
 
     @pytest.mark.parametrize("n, k", [(0, 2), (-3, 2), (10, 0), (10, -1)])

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from bandgraph.core_graph import Params, vertex_count_formula
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -20,3 +22,6 @@ def test_measure_report_identities_pass(capsys):
     assert "identity checks (exact rational):" in out
     checks = [line for line in out.splitlines() if line.startswith("  [")]
     assert checks and all(line.startswith("  [ok ] ") for line in checks)
+    # the lattice count in the band at n = 100 is the vertex count of G(100, 2, 35)
+    (line,) = [line for line in out.splitlines() if line.startswith("  n =    100  ")]
+    assert f"count = {vertex_count_formula(Params(100, 2, 35)):12d}  " in line

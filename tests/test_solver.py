@@ -71,6 +71,7 @@ class TestExactBandwidth:
 
     def test_trivial_graphs(self):
         assert exact_bandwidth(SimpleGraph(0, [])) == 0
+        assert exact_bandwidth_with_witness(SimpleGraph(0, [])) == (0, ())
         assert exact_bandwidth(SimpleGraph(1, [])) == 0
         assert exact_bandwidth(SimpleGraph(6, [])) == 0
 
