@@ -60,10 +60,6 @@ def main(argv=None) -> int:
     print("lattice counts vs measure(band):")
     for tok in args.n.split(","):
         n = int(tok)
-        b = beta * n
-        if b.denominator != 1:
-            print(f"  n = {n}: beta*n = {b} not integral, skipped", file=sys.stderr)
-            continue
         count = region_vertex_count(band_polygon(beta), n, k)
         err = abs(Fraction(count, n**k) - band)
         print(f"  n = {n:6d}  count = {count:12d}  count/n^k - measure = {float(err):.3e}")

@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+# The exact clique covers take at most this many vertices, resp. edges.
+COVER_CAP = 20
+
+
 class CapacityError(ValueError):
     """Instance too large for the exact solvers; use bounds instead."""
 
@@ -206,21 +210,21 @@ def _maximal_cliques(g: SimpleGraph) -> list[frozenset[int]]:
     return [frozenset(c) for c in nx.find_cliques(g.to_networkx())]
 
 
-def vertex_clique_cover_number(g: SimpleGraph, cap: int = 20) -> int:
+def vertex_clique_cover_number(g: SimpleGraph) -> int:
     """Minimum number of cliques of g covering all its vertices.
 
     Exact: set cover over the maximal cliques.  Equals the chromatic
     number of the complement graph.
     """
-    if g.vertex_count > cap:
-        raise CapacityError(f"{g.vertex_count} vertices exceeds exact cap {cap}")
+    if g.vertex_count > COVER_CAP:
+        raise CapacityError(f"{g.vertex_count} vertices exceeds exact cap {COVER_CAP}")
     if g.vertex_count == 0:
         return 0
     masks = [sum(1 << v for v in c) for c in _maximal_cliques(g)]
     return _min_set_cover(g.vertex_count, masks)
 
 
-def weak_edge_clique_cover_number(h: Hypergraph, cap: int = 20) -> int:
+def weak_edge_clique_cover_number(h: Hypergraph) -> int:
     """Minimum size of a family of weak cliques with every edge of h a
     subset of some member.
 
@@ -229,8 +233,8 @@ def weak_edge_clique_cover_number(h: Hypergraph, cap: int = 20) -> int:
     2-section) is exact.
     """
     m = len(h.edges)
-    if m > cap:
-        raise CapacityError(f"{m} edges exceeds exact cap {cap}")
+    if m > COVER_CAP:
+        raise CapacityError(f"{m} edges exceeds exact cap {COVER_CAP}")
     if m == 0:
         return 0
     masks = []

@@ -83,27 +83,30 @@ MAX_LABELED_VERTICES = 2**62
 
 
 class Numbering:
-    """A proper numbering of G(n, k, b) with labels 1..|V|.
+    """A proper numbering of G(n, k, b) with labels 1..|V|, built from an
+    explicit vertex order: ``order[i]`` carries label i+1.
 
-    Built from an explicit vertex order (``order[i]`` carries label i+1),
-    or from ``classes=(lo, hi, first, last)``, every span class once with
-    its smallest and largest label, and ``lister``, a function of no
-    arguments that lists the vertex order on first use of ``order``.
-    Either way the per-class label table is set at construction.
+    It stores one per-class label table, gathered from the order.  The
+    library numberings are built by ``_from_table`` instead.
     """
 
-    def __init__(self, params: Params, tag: str, order=None, *, classes=None, lister=None) -> None:
-        if (order is None) == (classes is None):
-            raise TypeError("give exactly one of order and classes")
-        if (classes is None) != (lister is None):
-            raise TypeError("per-class labels need a lister, and an order takes none")
-        self.params, self.tag, self._lister = params, tag, lister
-        if classes is None:
-            self.order = tuple(order)
-            self._class_labels = _order_classes(self.order, params)
-        else:
-            self._class_labels = _check_classes(classes, params)
-        self._size = vertex_count_formula(params)
+    def __init__(self, params: Params, tag: str, order) -> None:
+        self.params, self.tag, self._lister = params, tag, None
+        self.order = tuple(order)
+        self._class_labels = _order_classes(self.order, params)
+        self._size = len(self.order)
+
+    @classmethod
+    def _from_table(cls, params: Params, tag: str, classes, lister) -> Numbering:
+        """A library numbering from its int64 (lo, hi, first, last) table,
+        every span class once with its smallest and largest label, a
+        bijection by construction and so taken as it is; ``lister``, a
+        function of no arguments, lists the vertex order on first use of
+        ``order``."""
+        f = cls.__new__(cls)
+        f.params, f.tag, f._lister, f._class_labels = params, tag, lister, classes
+        f._size = vertex_count_formula(params)
+        return f
 
     @cached_property
     def order(self) -> tuple[Vertex, ...]:
@@ -177,37 +180,6 @@ def _vertex_total(p: Params) -> int:
 def _class_sizes(p: Params) -> np.ndarray:
     """class_size of a class of span d, for d = 0..b."""
     return np.array([class_size(0, d, p.k) for d in range(p.b + 1)], dtype=np.int64)
-
-
-def _check_classes(classes, p: Params) -> tuple[np.ndarray, ...]:
-    """Check that ``classes`` = (lo, hi, first, last) lists every span
-    class once, with labels that fit its size within 1..|V| and no label
-    the first, or the last, of two classes (in a bijection each label
-    has one vertex, in one class); return them as int64 arrays."""
-    total = _vertex_total(p)
-    lo, hi, first, last = (np.asarray(a, dtype=np.int64) for a in classes)
-    if lo.ndim != 1 or any(a.shape != lo.shape for a in (hi, first, last)):
-        raise ValueError("classes must be four 1-d arrays of equal length")
-    span = hi - lo
-    if lo.size and (lo.min() < 0 or hi.max() > p.n or span.min() < 0 or span.max() > p.b):
-        raise ValueError(f"a class lies outside 0 <= lo <= hi <= n, hi - lo <= b of G{p}")
-    sizes = _class_sizes(p)[span]
-    if not sizes.all():
-        raise ValueError(f"a class of G{p} holds no vertex")
-    if lo.size and np.bincount(lo * (p.b + 1) + span).max() > 1:
-        raise ValueError("numbering repeats a span class")
-    if int(sizes.sum()) != total:
-        raise ValueError(f"classes hold {int(sizes.sum())} vertices, graph has {total}")
-    # nonempty here, as the sizes add up to |V| >= 1
-    if first.min() < 1 or last.max() > total or (last - first + 1 - sizes).min() < 0:
-        raise ValueError("a class's labels do not fit its size within 1..|V|")
-    for labels, end in ((first, "first"), (last, "last")):
-        # band tables arrive in label order, which settles them in one pass
-        if (labels[1:] <= labels[:-1]).any():
-            ordered = np.sort(labels)
-            if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError(f"two classes share their {end} label; no numbering does")
-    return lo, hi, first, last
 
 
 def custom_numbering(p: Params, order) -> Numbering:
@@ -318,8 +290,8 @@ def lex_numbering(p: Params) -> Numbering:
     table = _binomials(p)
     lo, hi = span_classes(p).T
     first, last = _Lex(table, np.minimum(p.b, p.n - np.arange(p.n + 1))).class_ranks(lo, hi)
-    return Numbering(
-        p, "lex", classes=(lo, hi, first + 1, last + 1), lister=lambda: enumerate_vertices(p)
+    return Numbering._from_table(
+        p, "lex", (lo, hi, first + 1, last + 1), lambda: enumerate_vertices(p)
     )
 
 
@@ -464,8 +436,8 @@ def mirror_numbering(p: Params) -> Numbering:
     lex on the reversed tuple inside r1.  When 2b >= n+k-1 the central
     block is nonempty and the bandwidth equals ceil((|V|+|C|-2)/2),
     which is optimal; the construction itself is valid for every p."""
-    return Numbering(
-        p, "mirror", classes=_MirrorLabels(p).class_labels(), lister=lambda: _MirrorLabels(p).order()
+    return Numbering._from_table(
+        p, "mirror", _MirrorLabels(p).class_labels(), lambda: _MirrorLabels(p).order()
     )
 
 
@@ -566,7 +538,7 @@ def _band_numbering(p: Params, tag: str, lo, d, block, position) -> Numbering:
     def lister():
         return _class_members(_binomials(p), lo, hi, p.k).T.tolist()
 
-    return Numbering(p, tag, classes=(lo, hi, last - sizes + 1, last), lister=lister)
+    return Numbering._from_table(p, tag, (lo, hi, last - sizes + 1, last), lister)
 
 
 def low_remainder_numbering(p: Params) -> Numbering:

@@ -117,14 +117,13 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
     return None
 
 
-def exact_bandwidth_with_witness(
-    g: SimpleGraph, cap: int = DEFAULT_CAP
-) -> tuple[int, tuple[int, ...]]:
-    """Exact bandwidth and a witness vertex order achieving it."""
+def exact_bandwidth_with_witness(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
+    """Exact bandwidth and a witness vertex order achieving it, for at
+    most DEFAULT_CAP vertices."""
     m = g.vertex_count
-    if m > cap:
+    if m > DEFAULT_CAP:
         raise CapacityError(
-            f"{m} vertices exceeds the exact-search cap {cap}; use bounds/numberings"
+            f"{m} vertices exceeds the exact-search cap {DEFAULT_CAP}; use bounds/numberings"
         )
     lower = max((-(-len(a) // 2) for a in _adjacency_lists(g)), default=0)
     upper = _identity_width(g)
@@ -135,8 +134,8 @@ def exact_bandwidth_with_witness(
     raise AssertionError("search must succeed at the identity width")
 
 
-def exact_bandwidth(g: SimpleGraph, cap: int = DEFAULT_CAP) -> int:
-    return exact_bandwidth_with_witness(g, cap=cap)[0]
+def exact_bandwidth(g: SimpleGraph) -> int:
+    return exact_bandwidth_with_witness(g)[0]
 
 
 # ── certification ─────────────────────────────────────────────────────
@@ -155,8 +154,11 @@ class Certificate:
     lower: int
     upper: int
     witness: Numbering
-    method: str
     exact_value: int | None = None
+
+    @property
+    def method(self) -> str:
+        return self.witness.tag
 
     @property
     def exact(self) -> bool:
@@ -216,6 +218,5 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
         lower=lower,
         upper=upper,
         witness=witness,
-        method=witness.tag,
         exact_value=exact_value,
     )

@@ -226,7 +226,7 @@ class TestCoverNumbers:
         many_edges = Hypergraph(30, [(i, i + 1) for i in range(25)])
         with pytest.raises(CapacityError):
             weak_edge_clique_cover_number(many_edges)
-        assert vertex_clique_cover_number(big_graph, cap=30) == 25
+        assert vertex_clique_cover_number(SimpleGraph(20, [])) == 20
 
     def test_equivalence_on_samples(self):
         rng = random.Random(13)

@@ -5,6 +5,9 @@ A name counts as used when the module reads it, when its dotted path
 (``import bandgraph.cli``) appears as an attribute chain, or when
 ``__all__`` re-exports it.  ``from __future__ import ...`` is exempt.
 
+Every private function, class or method of the package (``_name``, not
+dunder) is referenced somewhere in the package, by name or attribute.
+
 Also: importing the package leaves networkx unloaded, and numpy unrun
 until a numbering needs it.
 """
@@ -18,6 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/bandgraph", "tests", "scripts") for p in (ROOT / d).glob("*.py"))
+PACKAGE = sorted((ROOT / "src/bandgraph").glob("*.py"))
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -56,6 +60,34 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_helpers(sources: list[str]) -> list[str]:
+    """The private functions, classes and methods defined in ``sources``
+    whose names none of them reads, as a name or an attribute."""
+    defined, used = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = [name for name in defined if name.startswith("_") and not name.endswith("__")]
+    return [name for name in private if name not in used]
+
+
+def test_scan_finds_orphaned_helpers():
+    source = (
+        "def _used(): pass\ndef _orphan(): pass\n"
+        "class _C:\n    def _m(self): pass\n    def __init__(self): _used()\n"
+    )
+    assert orphaned_helpers([source, "print(_C)\n"]) == ["_orphan", "_m"]
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_helpers([path.read_text() for path in PACKAGE]) == []
 
 
 def test_import_bandgraph_leaves_networkx_unloaded():

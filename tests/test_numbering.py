@@ -181,83 +181,6 @@ class TestConstructionValidation:
         assert f.label(f.order[-1]) == len(f.order)
 
 
-class TestClassValidation:
-    P = Params(n=6, k=3, b=3)
-
-    def classes(self):
-        """The (lo, hi, first, last) columns of a valid table, as lists."""
-        return [list(a) for a in low_remainder_numbering(self.P).class_labels()]
-
-    def build(self, classes):
-        return Numbering(self.P, "t", classes=classes, lister=list)
-
-    def test_rejects_missing_class(self):
-        with pytest.raises(ValueError, match="classes hold"):
-            self.build([a[1:] for a in self.classes()])
-
-    def test_rejects_repeated_class(self):
-        with pytest.raises(ValueError, match="repeats a span class"):
-            self.build([a + a[:1] for a in self.classes()])
-
-    @pytest.mark.parametrize("cls", [(-1, 1), (5, 7), (0, 4), (3, 2)])
-    def test_rejects_out_of_range(self, cls):
-        lo, hi, first, last = self.classes()
-        lo[0], hi[0] = cls
-        with pytest.raises(ValueError, match="outside"):
-            self.build((lo, hi, first, last))
-
-    def test_rejects_empty_class(self):
-        # span 1 < k-1: no vertex
-        classes = [a + [x] for a, x in zip(self.classes(), (0, 1, 1, 1))]
-        with pytest.raises(ValueError, match="holds no vertex"):
-            self.build(classes)
-
-    def test_rejects_shape_mismatch(self):
-        for column in range(4):
-            classes = self.classes()
-            classes[column] = classes[column][1:]
-            with pytest.raises(ValueError, match="equal length"):
-                self.build(classes)
-
-    def test_needs_exactly_one_source(self):
-        order = list(enumerate_vertices(self.P))
-        with pytest.raises(TypeError):
-            Numbering(self.P, "t")
-        with pytest.raises(TypeError):
-            Numbering(self.P, "t", order, classes=self.classes(), lister=list)
-        with pytest.raises(TypeError, match="lister"):
-            Numbering(self.P, "t", classes=self.classes())
-        with pytest.raises(TypeError, match="lister"):
-            Numbering(self.P, "t", order, lister=list)
-
-    def test_per_class_labels(self):
-        f = low_remainder_numbering(self.P)
-        g = Numbering(self.P, "t", classes=f.class_labels(), lister=lambda: f.order)
-        assert g.order == f.order
-        assert bandwidth_of_numbering(g) == bandwidth_of_numbering(f)
-        lo, hi, first, last = self.classes()
-        too_far = last.copy()
-        too_far[0] = len(f) + 1
-        with pytest.raises(ValueError, match="do not fit"):
-            self.build((lo, hi, first, too_far))
-        too_narrow = first.copy()
-        too_narrow[int(np.argmax(np.subtract(last, first)))] = max(last)
-        with pytest.raises(ValueError, match="do not fit"):
-            self.build((lo, hi, too_narrow, last))
-
-    def test_rejects_shared_first_or_last_label(self):
-        lo, hi, first, last = self.classes()
-        total = len(low_remainder_numbering(self.P))
-        # every class on [1, |V|]: each range fits, yet the evaluator
-        # would read width |V| - 1 from a table no numbering has
-        with pytest.raises(ValueError, match="share their first label"):
-            self.build((lo, hi, [1] * len(lo), [total] * len(lo)))
-        with pytest.raises(ValueError, match="share their last label"):
-            self.build((lo, hi, first, [total] * len(lo)))
-        # out of label order, a bijection's table is still accepted
-        self.build([a[::-1] for a in (lo, hi, first, last)])
-
-
 class TestInt64Refusals:
     def test_lex_and_mirror_refuse_2_pow_62_vertices_at_once(self):
         # 8.7e19 vertices: refused from the closed-form count, not listed
@@ -280,8 +203,6 @@ class TestInt64Refusals:
         assert vertex_count_formula(p) >= 2**62
         with pytest.raises(ValueError, match="2\\^62"):
             low_remainder_numbering(p)
-        with pytest.raises(ValueError, match="2\\^62"):
-            Numbering(p, "t", classes=([0], [59], [1], [1]), lister=list)
 
 
 class TestExactPosition:
@@ -332,6 +253,7 @@ class TestBandOracle:
             f, expected = band_numbering(p)
             assert tuple(f.order) == expected, p
             assert len(f) == len(expected)
+            assert f == Numbering(p, f.tag, f.order), p
             count += 1
         assert count > 300
 
@@ -355,6 +277,7 @@ def test_property_band_numbering_vs_oracle_and_scan(data):
     assume(vertex_count_formula(p) <= 700)
     f, expected = band_numbering(p)
     assert tuple(f.order) == expected
+    assert f == Numbering(p, f.tag, f.order)
     assert bandwidth_of_numbering(f) == bandwidth_by_edge_scan(f)
 
 
@@ -370,7 +293,8 @@ def sorted_class_labels(f) -> list[tuple[int, int, int, int]]:
 
 def assert_lex_and_mirror_match_oracle(p: Params, scan_limit: int = 0) -> None:
     """Per-class (first, last) and the listed order equal the per-vertex
-    oracle's; the width equals the edge scan where |V| <= scan_limit."""
+    oracle's, and the table equals the one gathered from the order; the
+    width equals the edge scan where |V| <= scan_limit."""
     for build, oracle in LEX_AND_MIRROR:
         f, expected = build(p), oracle(p)
         assert sorted_class_labels(f) == sorted_class_labels(Numbering(p, "oracle", expected)), (
@@ -378,6 +302,7 @@ def assert_lex_and_mirror_match_oracle(p: Params, scan_limit: int = 0) -> None:
             p,
         )
         assert tuple(f.order) == expected, (build.__name__, p)
+        assert f == Numbering(p, f.tag, f.order), (build.__name__, p)
         if len(f) <= scan_limit:
             assert bandwidth_of_numbering(f) == bandwidth_by_edge_scan(f), (build.__name__, p)
 

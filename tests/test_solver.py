@@ -104,7 +104,7 @@ class TestExactBandwidth:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             exact_bandwidth(path(25))
-        assert exact_bandwidth(path(25), cap=25) == 1
+        assert exact_bandwidth(path(24)) == 1
 
 
 class TestBandGraphExport:
