@@ -213,6 +213,21 @@ def class_table_cells(p: Params) -> int:
     return (p.n + 1) * (_table_width(p) + 1)
 
 
+# Rows of at least this many cells take one ufunc call each in
+# _running_max.  numpy's accumulate walks each column on its own at about
+# 5 ns a cell, which is cheaper only for the short rows of small graphs.
+_ROW_CELLS = 128
+
+
+def _running_max(a: np.ndarray) -> None:
+    """Running maximum along axis 0, in place."""
+    if a[0].size >= _ROW_CELLS:
+        for i in range(1, len(a)):
+            np.maximum(a[i - 1], a[i], out=a[i])
+    else:
+        np.maximum.accumulate(a, axis=0, out=a)
+
+
 def adjacent_class_max(
     p: Params, lo: np.ndarray, hi: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -222,21 +237,22 @@ def adjacent_class_max(
 
     The classes adjacent to (lo1, hi1) fill the rectangle
     lo2 >= hi1 - b, hi2 <= lo1 + b.  Running maxima over the (lo, hi)
-    grid answer each rectangle in O(1); the table is kept in (c, c - a)
-    layout, (n+1)·(min(2b, n)+1) cells, so a query costs O(classes + n·b).
+    grid answer each rectangle in O(1); the table is kept in (c - a, c)
+    layout, (min(2b, n)+1)·(n+1) cells, so a query costs O(classes + n·b).
     """
     n, b, width = p.n, p.b, _table_width(p)
-    # top[a, w] = max value over classes with lo = a, hi <= a + w
-    top = np.zeros((n + 1, width + 1, *values.shape[1:]), dtype=values.dtype)
-    top[lo, hi - lo] = values
-    np.maximum.accumulate(top, axis=1, out=top)
-    # table[c, w] = max value over classes with lo >= c - w, hi <= c
-    c, w = np.arange(n + 1)[:, None], np.arange(width + 1)
-    table = top[np.maximum(c - w, 0), w]
-    table[c < w] = 0
-    np.maximum.accumulate(table, axis=1, out=table)
+    # top[w, a] = max value over classes with lo = a, hi <= a + w
+    top = np.zeros((width + 1, n + 1, *values.shape[1:]), dtype=values.dtype)
+    top[hi - lo, lo] = values
+    _running_max(top)
+    # table[w, c] = max value over classes with lo >= c - w, hi <= c, read
+    # only where c >= w: the running max over u <= w of top[u, c - u].  Row u
+    # of top shifted right by u is a view whose row stride is one cell less.
+    s = top.strides
+    table = np.lib.stride_tricks.as_strided(top, strides=(s[0] - s[1], *s[1:])).copy()
+    _running_max(table)
     cols = np.minimum(lo + b, n)
-    return table[cols, cols - np.maximum(hi - b, 0)]
+    return table[cols - np.maximum(hi - b, 0), cols]
 
 
 def class_distances(p: Params) -> np.ndarray:

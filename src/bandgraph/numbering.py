@@ -59,7 +59,6 @@ from .core_graph import (  # np: numpy, loaded on first use
     adjacent_class_max,
     are_adjacent,
     class_size,
-    enumerate_vertices,
     is_vertex,
     np,
     span_classes,
@@ -102,7 +101,8 @@ class Numbering:
         every span class once with its smallest and largest label, a
         bijection by construction and so taken as it is; ``lister``, a
         function of no arguments, lists the vertex order on first use of
-        ``order``."""
+        ``order`` as an int64 array of shape (k, |V|), one column per
+        vertex."""
         f = cls.__new__(cls)
         f.params, f.tag, f._lister, f._class_labels = params, tag, lister, classes
         f._size = vertex_count_formula(params)
@@ -110,7 +110,9 @@ class Numbering:
 
     @cached_property
     def order(self) -> tuple[Vertex, ...]:
-        return tuple(map(tuple, self._lister()))
+        # as records of k int64 fields the rows list as tuples, in one pass
+        rows = np.ascontiguousarray(self._lister().T)
+        return tuple(rows.view([("", rows.dtype)] * rows.shape[1]).ravel().tolist())
 
     def class_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, min label, max label) of every span class."""
@@ -290,9 +292,12 @@ def lex_numbering(p: Params) -> Numbering:
     table = _binomials(p)
     lo, hi = span_classes(p).T
     first, last = _Lex(table, np.minimum(p.b, p.n - np.arange(p.n + 1))).class_ranks(lo, hi)
-    return Numbering._from_table(
-        p, "lex", (lo, hi, first + 1, last + 1), lambda: enumerate_vertices(p)
-    )
+
+    def lister():
+        members = _class_members(table, lo, hi, p.k)
+        return members[:, np.lexsort(members[::-1])]
+
+    return Numbering._from_table(p, "lex", (lo, hi, first + 1, last + 1), lister)
 
 
 # ── mirror numbering ──────────────────────────────────────────────────
@@ -414,7 +419,7 @@ class _MirrorLabels:
             last[at] = np.maximum.reduceat(labels, starts)
         return lo, hi, first, last
 
-    def order(self) -> list[list[int]]:
+    def order(self) -> np.ndarray:
         """Every vertex, in label order: the blocks r0, central and r1,
         r0 and central in lex order and r1 in descending lex order of the
         images, which is ascending lex order of the negated images."""
@@ -428,7 +433,7 @@ class _MirrorLabels:
         block = np.concatenate((np.where(central, 1, 2 * high), 2 * self.pal_odd))
         vertices = np.concatenate((vertices, self.pal), axis=1)
         keys = np.where(block == 2, -self._reflect(vertices), vertices)
-        return vertices[:, np.lexsort((*keys[::-1], block))].T.tolist()
+        return vertices[:, np.lexsort((*keys[::-1], block))]
 
 
 def mirror_numbering(p: Params) -> Numbering:
@@ -535,10 +540,9 @@ def _band_numbering(p: Params, tag: str, lo, d, block, position) -> Numbering:
     hi, sizes = lo + d, _class_sizes(p)[d]
     last = np.cumsum(sizes)
 
-    def lister():
-        return _class_members(_binomials(p), lo, hi, p.k).T.tolist()
-
-    return Numbering._from_table(p, tag, (lo, hi, last - sizes + 1, last), lister)
+    return Numbering._from_table(
+        p, tag, (lo, hi, last - sizes + 1, last), lambda: _class_members(_binomials(p), lo, hi, p.k)
+    )
 
 
 def low_remainder_numbering(p: Params) -> Numbering:

@@ -2,13 +2,18 @@
 certification of G(n, k, b) combining bounds and constructed numberings.
 
 ``exact_bandwidth`` answers "is there a numbering of width <= W?" by
-left-to-right placement with pruning, trying W upward from a degree
-lower bound; the first feasible W is the bandwidth and the placement
-found is a witness numbering.
+left-to-right placement with pruning, trying W upward from the degree
+lower bound max ceil(deg/2) to the identity order's width; the first
+feasible W is the bandwidth and the placement found is a witness
+numbering.  Given a bracket [lower, upper] whose upper end a known
+numbering attains, ``exact_bandwidth_with_witness`` searches only
+W in [lower, upper - 1], after proving lower - 1 infeasible: feasibility
+is monotone in W, so that one proof covers every smaller width.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,10 +49,13 @@ def _adjacency_lists(g: SimpleGraph) -> list[list[int]]:
     return adj
 
 
-def _identity_width(g: SimpleGraph) -> int:
-    if not g.edges:
-        return 0
-    return max(abs(u - v) for u, v in (tuple(e) for e in g.edges))
+def _order_width(g: SimpleGraph, order) -> int:
+    """Largest |position(u) - position(v)| over the edges, for a vertex
+    order listing every vertex once."""
+    position = [0] * g.vertex_count
+    for i, v in enumerate(order):
+        position[v] = i
+    return max((abs(position[u] - position[v]) for u, v in map(tuple, g.edges)), default=0)
 
 
 def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
@@ -59,7 +67,8 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
     falling out of the window must have no unplaced neighbors, and every
     window vertex must still have room for its unplaced neighbors before
     its own deadline.  Failed (placed-set, window-order) states are
-    memoized — the future depends on nothing else.
+    memoized — the future depends on nothing else; the placed set is
+    keyed as a bitmask, an int far smaller than a frozenset.
     """
     m = g.vertex_count
     adj = _adjacency_lists(g)
@@ -71,14 +80,13 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
     placed = [False] * m
     position = [-1] * m
     unplaced_nbrs = degree[:]
-    failed: set[tuple[frozenset[int], tuple[int, ...]]] = set()
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def dfs() -> bool:
+    def dfs(mask: int) -> bool:
         p = len(placement)
         if p == m:
             return True
-        window = tuple(placement[-width:]) if width else ()
-        state = (frozenset(placement), window)
+        state = (mask, tuple(placement[-width:]) if width else ())
         if state in failed:
             return False
         for u in by_preference:
@@ -102,7 +110,7 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
                     if unplaced_nbrs[v] > t + width - p:
                         ok = False
                         break
-            if ok and dfs():
+            if ok and dfs(mask | 1 << u):
                 return True
             placement.pop()
             placed[u] = False
@@ -112,26 +120,45 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
         failed.add(state)
         return False
 
-    if dfs():
+    if dfs(0):
         return tuple(placement)
     return None
 
 
-def exact_bandwidth_with_witness(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
+def exact_bandwidth_with_witness(
+    g: SimpleGraph, bracket: tuple[int, int] | None = None
+) -> tuple[int, tuple[int, ...] | None]:
     """Exact bandwidth and a witness vertex order achieving it, for at
-    most DEFAULT_CAP vertices."""
+    most DEFAULT_CAP vertices.
+
+    With ``bracket = (lower, upper)``, where the caller holds a numbering
+    of width ``upper``: width lower - 1 is proven infeasible (an
+    AssertionError if it is not) unless the degree bound already rules it
+    out, and W is tried in [max(lower, degree bound), upper - 1] only.
+    If none is feasible the result is ``(upper, None)``: the caller's
+    numbering is optimal.
+    """
     m = g.vertex_count
     if m > DEFAULT_CAP:
         raise CapacityError(
             f"{m} vertices exceeds the exact-search cap {DEFAULT_CAP}; use bounds/numberings"
         )
-    lower = max((-(-len(a) // 2) for a in _adjacency_lists(g)), default=0)
-    upper = _identity_width(g)
-    for width in range(lower, upper + 1):
+    degree = max((-(-len(a) // 2) for a in _adjacency_lists(g)), default=0)
+    if bracket is None:
+        widths = range(degree, _order_width(g, range(m)) + 1)
+    else:
+        lower, upper = bracket
+        if lower - 1 >= degree:
+            assert _feasible_placement(g, lower - 1) is None, (
+                f"width {lower - 1} is feasible: exact bandwidth outside [{lower}, {upper}]"
+            )
+        widths = range(max(lower, degree), upper)
+    for width in widths:
         witness = _feasible_placement(g, width)
         if witness is not None:
             return width, witness
-    raise AssertionError("search must succeed at the identity width")
+    assert bracket is not None, "search must succeed at the identity width"
+    return bracket[1], None
 
 
 def exact_bandwidth(g: SimpleGraph) -> int:
@@ -173,9 +200,36 @@ class Certificate:
         return None
 
 
+def _candidates(p: Params) -> Iterator[Numbering]:
+    """lex, mirror, then (when 2b <= n) the band numbering of b/n's
+    regime, each built only when asked for.  The builders are read from
+    this module's namespace at call time."""
+    yield lex_numbering(p)
+    yield mirror_numbering(p)
+    if 2 * p.b <= p.n:
+        if beta_decomposition(Fraction(p.b, p.n)).regime == "low":
+            yield low_remainder_numbering(p)
+        else:
+            yield high_remainder_numbering(p)
+
+
 def certify(p: Params, run_exact: bool = False) -> Certificate:
     """Best available bracket from closed-form bounds and constructed
     numberings; optionally pin the value by exact search (small graphs).
+
+    The lower bound is the density bound (0 for the edgeless b = k-1),
+    raised to the central bound where the central set is nonempty.  The
+    candidates lex, mirror and the band numbering of b/n's regime
+    (2b <= n only) are built and evaluated in that order; the first of
+    least width is the witness, and no candidate is built once one meets
+    the lower bound, as a later one could only tie.
+
+    ``run_exact`` searches the explicit graph only within the open
+    bracket (``exact_bandwidth_with_witness`` with a bracket), which
+    proves lower - 1 infeasible.  If a width below upper is feasible it
+    becomes the value and its placement the witness; otherwise the value
+    is upper, and the witness's width over the explicit edges must equal
+    it, which also checks the class-table evaluator.
     """
     if p.b == p.k - 1:
         lower = 0  # edgeless graph: no distance structure to bound with
@@ -184,20 +238,14 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
     if central_count(p) > 0:
         lower = max(lower, central_lower_bound(p))
 
-    candidates = [lex_numbering(p), mirror_numbering(p)]
-    if 2 * p.b <= p.n:
-        if beta_decomposition(Fraction(p.b, p.n)).regime == "low":
-            candidates.append(low_remainder_numbering(p))
-        else:
-            candidates.append(high_remainder_numbering(p))
-
-    best: tuple[int, Numbering] | None = None
-    for f in candidates:
+    upper: int | None = None
+    for f in _candidates(p):
         width = bandwidth_of_numbering(f)
-        if best is None or width < best[0]:
-            best = (width, f)
-    assert best is not None
-    upper, witness = best
+        if upper is None or width < upper:
+            upper, witness = width, f
+        if upper == lower:
+            break
+    assert upper is not None
 
     exact_value: int | None = None
     if run_exact:
@@ -206,11 +254,13 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
                 f"|V| = {vertex_count_formula(p)} exceeds exact-search cap {DEFAULT_CAP}"
             )
         graph, verts = band_graph_as_simple_graph(p)
-        value, placement = exact_bandwidth_with_witness(graph)
-        assert lower <= value <= upper, f"exact bandwidth {value} outside [{lower}, {upper}]"
-        exact_value = value
-        if value < upper:
-            upper = value
+        exact_value, placement = exact_bandwidth_with_witness(graph, (lower, upper))
+        if placement is None:
+            index = {v: i for i, v in enumerate(verts)}
+            width = _order_width(graph, [index[v] for v in witness.order])
+            assert width == upper, f"witness width {width} over the edges, reported {upper}"
+        else:
+            upper = exact_value
             witness = custom_numbering(p, [verts[i] for i in placement])
 
     return Certificate(

@@ -160,6 +160,25 @@ class TestCounting:
                 v for (lo2, hi2), v in zip(pairs, values) if max(hi1, hi2) - min(lo1, lo2) <= p.b
             )
 
+    @settings(max_examples=50, deadline=None)
+    @given(params_st(), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_adjacent_class_max_answers_each_column_alone(self, p, columns, seed):
+        # (n+1)·columns cells a table row: both running-max routes are drawn
+        lo, hi = span_classes(p).T
+        values = np.random.default_rng(seed).integers(0, 10**6, (lo.size, columns))
+        got = adjacent_class_max(p, lo, hi, values)
+        for j in range(columns):
+            assert got[:, j].tolist() == adjacent_class_max(p, lo, hi, values[:, j]).tolist()
+
+    @pytest.mark.parametrize("n, k, b", [(300, 2, 3), (200, 3, 10), (127, 2, 14)])
+    def test_adjacent_class_max_long_rows_vs_pair_scan(self, n, k, b):
+        p = Params(n=n, k=k, b=b)
+        lo, hi = span_classes(p).T
+        values = np.random.default_rng(n).integers(0, 10**6, lo.size)
+        got = adjacent_class_max(p, lo, hi, values)
+        adjacent = (np.maximum(hi[:, None], hi) - np.minimum(lo[:, None], lo)) <= b
+        assert got.tolist() == np.where(adjacent, values, 0).max(axis=1).tolist()
+
 
 class TestCentral:
     @pytest.mark.parametrize("p", SMALL_GRID, ids=str)

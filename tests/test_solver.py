@@ -6,11 +6,17 @@ vertices), plus closed forms for the classic families.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import bandgraph.solver
-from bandgraph.bounds import exact_bandwidth_large_b
+from bandgraph.bounds import (
+    beta_decomposition,
+    central_lower_bound,
+    density_lower_bound,
+    exact_bandwidth_large_b,
+)
 from bandgraph.core_graph import (
     Params,
     are_adjacent,
@@ -19,8 +25,14 @@ from bandgraph.core_graph import (
     vertex_count_formula,
 )
 from bandgraph.hypergraph import CapacityError, SimpleGraph, band_graph_as_simple_graph
-from bandgraph.numbering import bandwidth_of_numbering
-from bandgraph.solver import certify, exact_bandwidth, exact_bandwidth_with_witness
+from bandgraph.numbering import (
+    bandwidth_of_numbering,
+    high_remainder_numbering,
+    lex_numbering,
+    low_remainder_numbering,
+    mirror_numbering,
+)
+from bandgraph.solver import Certificate, certify, exact_bandwidth, exact_bandwidth_with_witness
 
 
 def brute_exact_bandwidth(g: SimpleGraph) -> int:
@@ -41,6 +53,32 @@ def brute_exact_bandwidth(g: SimpleGraph) -> int:
 def order_width(g: SimpleGraph, order) -> int:
     pos = {v: i for i, v in enumerate(order)}
     return max((abs(pos[u] - pos[v]) for u, v in map(tuple, g.edges)), default=0)
+
+
+def certify_every_candidate(p: Params) -> Certificate:
+    """Oracle for certify without run_exact: every candidate built and
+    evaluated, no early stop, the first of least width kept."""
+    lower = 0 if p.b == p.k - 1 else density_lower_bound(p)
+    if central_count(p) > 0:
+        lower = max(lower, central_lower_bound(p))
+    candidates = [lex_numbering(p), mirror_numbering(p)]
+    if 2 * p.b <= p.n:
+        low = beta_decomposition(Fraction(p.b, p.n)).regime == "low"
+        candidates.append((low_remainder_numbering if low else high_remainder_numbering)(p))
+    widths = [bandwidth_of_numbering(f) for f in candidates]
+    best = widths.index(min(widths))
+    return Certificate(params=p, lower=lower, upper=widths[best], witness=candidates[best])
+
+
+def small_band_graphs(max_vertices: int = 24):
+    """Every G(n, k, b) with k = 2..4 and at most max_vertices vertices:
+    the large-b ones (2b >= n+k-1) and the narrower ones."""
+    for k in (2, 3, 4):
+        for n in range(k - 1, max_vertices + 1):
+            for b in range(k - 1, n + 1):
+                p = Params(n=n, k=k, b=b)
+                if vertex_count_formula(p) <= max_vertices:
+                    yield p
 
 
 def path(m: int) -> SimpleGraph:
@@ -100,6 +138,23 @@ class TestExactBandwidth:
             value, witness = exact_bandwidth_with_witness(g)
             assert sorted(witness) == list(range(m))
             assert order_width(g, witness) == value
+
+    def test_bracket_searches_only_below_upper(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            m = rng.randint(1, 9)
+            edges = [
+                e for e in itertools.combinations(range(m), 2) if rng.random() < 0.35
+            ]
+            g = SimpleGraph(m, edges)
+            value, witness = exact_bandwidth_with_witness(g)
+            # a numbering of width value is known: nothing below it is feasible
+            assert exact_bandwidth_with_witness(g, (value, value)) == (value, None)
+            found, placement = exact_bandwidth_with_witness(g, (0, m))
+            assert found == value and order_width(g, placement) == value
+            if value > 0:
+                with pytest.raises(AssertionError, match="outside"):
+                    exact_bandwidth_with_witness(g, (value + 1, m))
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -168,17 +223,58 @@ class TestCertify:
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_run_exact_outside_bracket_asserts(self, shift, monkeypatch):
-        # an exact value below the lower bound or above the best numbering
-        # contradicts the bracket; certify refuses to return it
+        # a lower bound above the exact value, or a witness wider than the
+        # reported upper, contradicts the bracket; certify refuses to
+        # return it.  At (6, 2, 3) the bracket is [5, 6], the exact value
+        # and the degree bound are 6, and lex attains 6.
         p = Params(n=6, k=2, b=3)
-        bracket = certify(p)
-        value = bracket.lower - 1 if shift < 0 else bracket.upper + 1
-        found = exact_bandwidth_with_witness(band_graph_as_simple_graph(p)[0])[1]
-        monkeypatch.setattr(
-            bandgraph.solver, "exact_bandwidth_with_witness", lambda g: (value, found)
-        )
-        with pytest.raises(AssertionError, match="outside"):
+        if shift < 0:
+            # lower = 7, so the search finds width lower - 1 = 6 feasible
+            monkeypatch.setattr(bandgraph.solver, "density_lower_bound", lambda p: 7)
+            match = "width 6 is feasible"
+        else:
+            # every candidate reported one narrower than it is
+            monkeypatch.setattr(
+                bandgraph.solver, "bandwidth_of_numbering", lambda f: bandwidth_of_numbering(f) - 1
+            )
+            match = "witness width 6 over the edges, reported 5"
+        with pytest.raises(AssertionError, match=match):
             certify(p, run_exact=True)
+
+    def test_run_exact_equals_unbracketed_search(self):
+        checked = 0
+        for p in small_band_graphs():
+            g, _ = band_graph_as_simple_graph(p)
+            assert certify(p, run_exact=True).exact_value == exact_bandwidth(g), p
+            checked += 1
+        assert checked == 111
+
+    def test_early_stop_matches_every_candidate(self):
+        grid = [
+            Params(n=n, k=k, b=b)
+            for k in range(1, 5)
+            for n in range(max(1, k - 1), 31)
+            for b in range(max(1, k - 1), n + 1)
+        ]
+        grid += [Params(n=2000, k=2, b=3), Params(n=1000, k=2, b=10), Params(n=150, k=3, b=20)]
+        for p in grid:
+            assert certify(p) == certify_every_candidate(p), p
+
+    @pytest.mark.parametrize("triple, builds", [((2000, 2, 3), 1), ((20, 3, 15), 2), ((150, 3, 20), 3)])
+    def test_builds_stop_once_the_bracket_closes(self, triple, builds, monkeypatch):
+        built = []
+        for name in (
+            "lex_numbering",
+            "mirror_numbering",
+            "low_remainder_numbering",
+            "high_remainder_numbering",
+        ):
+            build = getattr(bandgraph.solver, name)
+            monkeypatch.setattr(
+                bandgraph.solver, name, lambda p, build=build: built.append(p) or build(p)
+            )
+        certify(Params(*triple))
+        assert len(built) == builds
 
     def test_run_exact_capacity(self):
         with pytest.raises(CapacityError):
