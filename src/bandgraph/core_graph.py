@@ -213,10 +213,15 @@ def class_table_cells(p: Params) -> int:
     return (p.n + 1) * (_table_width(p) + 1)
 
 
-# Rows of at least this many cells take one ufunc call each in
-# _running_max.  numpy's accumulate walks each column on its own at about
-# 5 ns a cell, which is cheaper only for the short rows of small graphs.
-_ROW_CELLS = 128
+# Rows of at least this many cells take one ufunc call each (about 2 us)
+# in _running_max, shorter ones numpy's accumulate, which walks each column
+# on its own at 5-10 ns a cell.  Measured on a 2-core x86_64 VM with
+# numpy 2.4: the crossover lies at 170-480 cells for 4 to 41 rows; over the
+# tables of one pass of the certify-grid and band-sweep workloads, 256 to
+# 384 cells take the least time, and either route alone is slower end to
+# end (the row loop by 17% in certify-grid's wall time, accumulate by 36%
+# in its top rung).
+_ROW_CELLS = 256
 
 
 def _running_max(a: np.ndarray) -> None:

@@ -294,6 +294,8 @@ def lex_numbering(p: Params) -> Numbering:
     first, last = _Lex(table, np.minimum(p.b, p.n - np.arange(p.n + 1))).class_ranks(lo, hi)
 
     def lister():
+        # sorting the class members beats reading enumerate_vertices into
+        # an array: 1.7 ms against 5.3-7.3 ms for the order at (2000, 2, 3)
         members = _class_members(table, lo, hi, p.k)
         return members[:, np.lexsort(members[::-1])]
 

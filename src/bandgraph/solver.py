@@ -5,15 +5,16 @@ certification of G(n, k, b) combining bounds and constructed numberings.
 left-to-right placement with pruning, trying W upward from the degree
 lower bound max ceil(deg/2) to the identity order's width; the first
 feasible W is the bandwidth and the placement found is a witness
-numbering.  Given a bracket [lower, upper] whose upper end a known
-numbering attains, ``exact_bandwidth_with_witness`` searches only
-W in [lower, upper - 1], after proving lower - 1 infeasible: feasibility
-is monotone in W, so that one proof covers every smaller width.
+numbering.  Given a lower bound and a known vertex order, whose width
+over the edges is the upper end, ``exact_bandwidth_with_witness``
+searches only W in [lower, upper - 1], after proving lower - 1
+infeasible: feasibility is monotone in W, so that one proof covers every
+smaller width.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,17 +127,17 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
 
 
 def exact_bandwidth_with_witness(
-    g: SimpleGraph, bracket: tuple[int, int] | None = None
-) -> tuple[int, tuple[int, ...] | None]:
+    g: SimpleGraph, bracket: tuple[int, Sequence[int]] | None = None
+) -> tuple[int, tuple[int, ...]]:
     """Exact bandwidth and a witness vertex order achieving it, for at
     most DEFAULT_CAP vertices.
 
-    With ``bracket = (lower, upper)``, where the caller holds a numbering
-    of width ``upper``: width lower - 1 is proven infeasible (an
-    AssertionError if it is not) unless the degree bound already rules it
-    out, and W is tried in [max(lower, degree bound), upper - 1] only.
-    If none is feasible the result is ``(upper, None)``: the caller's
-    numbering is optimal.
+    With ``bracket = (lower, order)``, a lower bound and a vertex order
+    listing every vertex once, the upper end is the order's width over
+    the edges.  Width lower - 1 is proven infeasible (an AssertionError if
+    it is not) unless the degree bound already rules it out, and W is
+    tried in [max(lower, degree bound), upper - 1] only; if none is
+    feasible the result is ``(upper, order)``: the order is optimal.
     """
     m = g.vertex_count
     if m > DEFAULT_CAP:
@@ -147,9 +148,12 @@ def exact_bandwidth_with_witness(
     if bracket is None:
         widths = range(degree, _order_width(g, range(m)) + 1)
     else:
-        lower, upper = bracket
-        if lower - 1 >= degree:
-            assert _feasible_placement(g, lower - 1) is None, (
+        lower, order = bracket[0], tuple(bracket[1])
+        if sorted(order) != list(range(m)):
+            raise ValueError(f"order must list each of the {m} vertices once")
+        upper = _order_width(g, order)
+        if lower - 1 >= degree and _feasible_placement(g, lower - 1) is not None:
+            raise AssertionError(
                 f"width {lower - 1} is feasible: exact bandwidth outside [{lower}, {upper}]"
             )
         widths = range(max(lower, degree), upper)
@@ -157,8 +161,9 @@ def exact_bandwidth_with_witness(
         witness = _feasible_placement(g, width)
         if witness is not None:
             return width, witness
-    assert bracket is not None, "search must succeed at the identity width"
-    return bracket[1], None
+    if bracket is None:
+        raise AssertionError("search must succeed at the identity width")
+    return upper, order
 
 
 def exact_bandwidth(g: SimpleGraph) -> int:
@@ -225,11 +230,13 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
     the lower bound, as a later one could only tie.
 
     ``run_exact`` searches the explicit graph only within the open
-    bracket (``exact_bandwidth_with_witness`` with a bracket), which
-    proves lower - 1 infeasible.  If a width below upper is feasible it
-    becomes the value and its placement the witness; otherwise the value
-    is upper, and the witness's width over the explicit edges must equal
-    it, which also checks the class-table evaluator.
+    bracket: ``exact_bandwidth_with_witness`` takes lower and the
+    witness's vertex order and proves lower - 1 infeasible.  If a width
+    below the witness's is feasible it becomes the value and its
+    placement the witness; otherwise the value is the witness's width
+    over the explicit edges, which must equal upper, and so checks the
+    class-table evaluator.  Each check raises AssertionError explicitly,
+    so it holds under ``python -O`` too.
     """
     if p.b == p.k - 1:
         lower = 0  # edgeless graph: no distance structure to bound with
@@ -254,11 +261,19 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
                 f"|V| = {vertex_count_formula(p)} exceeds exact-search cap {DEFAULT_CAP}"
             )
         graph, verts = band_graph_as_simple_graph(p)
-        exact_value, placement = exact_bandwidth_with_witness(graph, (lower, upper))
-        if placement is None:
-            index = {v: i for i, v in enumerate(verts)}
-            width = _order_width(graph, [index[v] for v in witness.order])
-            assert width == upper, f"witness width {width} over the edges, reported {upper}"
+        index = {v: i for i, v in enumerate(verts)}
+        order = tuple(index[v] for v in witness.order)
+        exact_value, placement = exact_bandwidth_with_witness(graph, (lower, order))
+        if placement == order:  # no order is narrower than the witness
+            if exact_value != upper:
+                raise AssertionError(
+                    f"witness width {exact_value} over the edges, reported {upper}"
+                )
+        elif exact_value >= upper:
+            raise AssertionError(
+                f"exact bandwidth {exact_value}, below the witness's width over the "
+                f"edges but not below the reported {upper}"
+            )
         else:
             upper = exact_value
             witness = custom_numbering(p, [verts[i] for i in placement])

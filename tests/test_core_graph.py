@@ -161,16 +161,18 @@ class TestCounting:
             )
 
     @settings(max_examples=50, deadline=None)
-    @given(params_st(), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @given(params_st(), st.integers(1, 64), st.integers(0, 2**32 - 1))
     def test_adjacent_class_max_answers_each_column_alone(self, p, columns, seed):
-        # (n+1)·columns cells a table row: both running-max routes are drawn
+        # (n+1)·columns cells a table row, on both sides of _ROW_CELLS = 256;
+        # a single column of at most 13 cells takes numpy's accumulate
         lo, hi = span_classes(p).T
         values = np.random.default_rng(seed).integers(0, 10**6, (lo.size, columns))
         got = adjacent_class_max(p, lo, hi, values)
         for j in range(columns):
             assert got[:, j].tolist() == adjacent_class_max(p, lo, hi, values[:, j]).tolist()
 
-    @pytest.mark.parametrize("n, k, b", [(300, 2, 3), (200, 3, 10), (127, 2, 14)])
+    # rows of 301, 261, 256 and 255 cells: the last two straddle _ROW_CELLS
+    @pytest.mark.parametrize("n, k, b", [(300, 2, 3), (260, 3, 5), (255, 2, 6), (254, 2, 6)])
     def test_adjacent_class_max_long_rows_vs_pair_scan(self, n, k, b):
         p = Params(n=n, k=k, b=b)
         lo, hi = span_classes(p).T

@@ -26,7 +26,9 @@ from bandgraph.core_graph import (
 )
 from bandgraph.hypergraph import CapacityError, SimpleGraph, band_graph_as_simple_graph
 from bandgraph.numbering import (
+    Numbering,
     bandwidth_of_numbering,
+    custom_numbering,
     high_remainder_numbering,
     lex_numbering,
     low_remainder_numbering,
@@ -68,6 +70,12 @@ def certify_every_candidate(p: Params) -> Certificate:
     widths = [bandwidth_of_numbering(f) for f in candidates]
     best = widths.index(min(widths))
     return Certificate(params=p, lower=lower, upper=widths[best], witness=candidates[best])
+
+
+def wide_order(p: Params) -> Numbering:
+    """The vertices with even lo first, then those with odd lo: wider
+    than lex wherever an edge joins the two halves."""
+    return custom_numbering(p, sorted(enumerate_vertices(p), key=lambda v: (v[0] % 2, v)))
 
 
 def small_band_graphs(max_vertices: int = 24):
@@ -139,7 +147,7 @@ class TestExactBandwidth:
             assert sorted(witness) == list(range(m))
             assert order_width(g, witness) == value
 
-    def test_bracket_searches_only_below_upper(self):
+    def test_bracket_searches_only_below_the_known_order(self):
         rng = random.Random(23)
         for _ in range(25):
             m = rng.randint(1, 9)
@@ -148,13 +156,24 @@ class TestExactBandwidth:
             ]
             g = SimpleGraph(m, edges)
             value, witness = exact_bandwidth_with_witness(g)
-            # a numbering of width value is known: nothing below it is feasible
-            assert exact_bandwidth_with_witness(g, (value, value)) == (value, None)
-            found, placement = exact_bandwidth_with_witness(g, (0, m))
+            # an optimal order is known: nothing narrower is found, and the
+            # order itself comes back
+            assert exact_bandwidth_with_witness(g, (value, witness)) == (value, witness)
+            order = rng.sample(range(m), m)
+            found, placement = exact_bandwidth_with_witness(g, (0, order))
             assert found == value and order_width(g, placement) == value
             if value > 0:
                 with pytest.raises(AssertionError, match="outside"):
-                    exact_bandwidth_with_witness(g, (value + 1, m))
+                    exact_bandwidth_with_witness(g, (value + 1, order))
+
+    def test_bracket_upper_end_is_the_orders_width(self):
+        # the upper end is worked out from the order, never taken on trust
+        assert exact_bandwidth_with_witness(path(5), (0, range(5))) == (1, (0, 1, 2, 3, 4))
+        found, placement = exact_bandwidth_with_witness(path(5), (0, (0, 4, 1, 3, 2)))
+        assert found == 1 and order_width(path(5), placement) == 1
+        for order in [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 1, 2, 3, 5)]:
+            with pytest.raises(ValueError, match="each of the 5 vertices once"):
+                exact_bandwidth_with_witness(path(5), (0, order))
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -225,8 +244,9 @@ class TestCertify:
     def test_run_exact_outside_bracket_asserts(self, shift, monkeypatch):
         # a lower bound above the exact value, or a witness wider than the
         # reported upper, contradicts the bracket; certify refuses to
-        # return it.  At (6, 2, 3) the bracket is [5, 6], the exact value
-        # and the degree bound are 6, and lex attains 6.
+        # return it, by an explicit raise that python -O keeps.  At
+        # (6, 2, 3) the bracket is [5, 6], the exact value and the degree
+        # bound are 6, and lex attains 6.
         p = Params(n=6, k=2, b=3)
         if shift < 0:
             # lower = 7, so the search finds width lower - 1 = 6 feasible
@@ -240,6 +260,25 @@ class TestCertify:
             match = "witness width 6 over the edges, reported 5"
         with pytest.raises(AssertionError, match=match):
             certify(p, run_exact=True)
+
+    def test_run_exact_refuses_a_misreported_wide_witness(self, monkeypatch):
+        # a witness of width 9 reported at the exact value 6: the search
+        # finds width 6, not below the reported upper, and certify raises
+        p = Params(n=6, k=2, b=3)
+        monkeypatch.setattr(bandgraph.solver, "_candidates", lambda p: iter([wide_order(p)]))
+        monkeypatch.setattr(bandgraph.solver, "bandwidth_of_numbering", lambda f: 6)
+        with pytest.raises(AssertionError, match="exact bandwidth 6, below the witness's width"):
+            certify(p, run_exact=True)
+
+    def test_run_exact_replaces_a_wide_witness(self, monkeypatch):
+        # no built candidate is wider than the exact value on a graph the
+        # search takes, so one is put in: the search's placement replaces it
+        p = Params(n=6, k=2, b=3)
+        monkeypatch.setattr(bandgraph.solver, "_candidates", lambda p: iter([wide_order(p)]))
+        assert certify(p).upper == bandwidth_of_numbering(wide_order(p)) > 6
+        cert = certify(p, run_exact=True)
+        assert (cert.lower, cert.upper, cert.exact_value, cert.method) == (5, 6, 6, "custom")
+        assert bandwidth_of_numbering(cert.witness) == 6
 
     def test_run_exact_equals_unbracketed_search(self):
         checked = 0
