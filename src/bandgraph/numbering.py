@@ -443,9 +443,8 @@ def mirror_numbering(p: Params) -> Numbering:
     lex on the reversed tuple inside r1.  When 2b >= n+k-1 the central
     block is nonempty and the bandwidth equals ceil((|V|+|C|-2)/2),
     which is optimal; the construction itself is valid for every p."""
-    return Numbering._from_table(
-        p, "mirror", _MirrorLabels(p).class_labels(), lambda: _MirrorLabels(p).order()
-    )
+    labels = _MirrorLabels(p)
+    return Numbering._from_table(p, "mirror", labels.class_labels(), labels.order)
 
 
 # ── band-decomposition numberings ─────────────────────────────────────

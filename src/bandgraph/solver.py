@@ -1,14 +1,14 @@
 """Exact minimum bandwidth for small graphs, plus per-instance
 certification of G(n, k, b) combining bounds and constructed numberings.
 
-``exact_bandwidth`` answers "is there a numbering of width <= W?" by
-left-to-right placement with pruning, trying W upward from the degree
-lower bound max ceil(deg/2) to the identity order's width; the first
-feasible W is the bandwidth and the placement found is a witness
-numbering.  Given a lower bound and a known vertex order, whose width
-over the edges is the upper end, ``exact_bandwidth_with_witness``
-searches only W in [lower, upper - 1], after proving lower - 1
-infeasible: feasibility is monotone in W, so that one proof covers every
+``exact_bandwidth_with_witness`` answers "is there a numbering of width
+<= W?" by left-to-right placement with pruning, within one bracket: a
+lower bound and a known vertex order, whose width over the edges is the
+upper end (without one, 0 and the identity order).  It proves lower - 1
+infeasible, then tries W upward from max(lower, degree bound) to one
+below the upper end; the first feasible W is the bandwidth and the
+placement found is a witness numbering, and if none is, the order is
+optimal.  Feasibility is monotone in W, so the one proof covers every
 smaller width.
 """
 
@@ -50,35 +50,36 @@ def _adjacency_lists(g: SimpleGraph) -> list[list[int]]:
     return adj
 
 
-def _order_width(g: SimpleGraph, order) -> int:
+def _order_width(adj: list[list[int]], order) -> int:
     """Largest |position(u) - position(v)| over the edges, for a vertex
-    order listing every vertex once."""
-    position = [0] * g.vertex_count
+    order listing every vertex once.  Each edge is in both of its ends'
+    lists, so one of its two differences is |position(u) - position(v)|."""
+    position = [0] * len(adj)
     for i, v in enumerate(order):
         position[v] = i
-    return max((abs(position[u] - position[v]) for u, v in map(tuple, g.edges)), default=0)
+    return max((position[v] - position[u] for u, a in enumerate(adj) for v in a), default=0)
 
 
-def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
+def _feasible_placement(adj: list[list[int]], width: int) -> tuple[int, ...] | None:
     """A vertex order with all edges spanning <= width positions, or None.
 
-    Positions are filled left to right.  Placing u at position p is
-    allowed only if every placed neighbor of u sits at position > p-width
-    (i.e. within the active window).  After each placement the vertex
-    falling out of the window must have no unplaced neighbors, and every
-    window vertex must still have room for its unplaced neighbors before
-    its own deadline.  Failed (placed-set, window-order) states are
-    memoized — the future depends on nothing else; the placed set is
-    keyed as a bitmask, an int far smaller than a frozenset.
+    Positions are filled left to right.  After placing at position p,
+    each vertex at a position t >= p - width must still have room for
+    its unplaced neighbors before its own deadline t + width: at most
+    t + width - p of them.  At t = p - width the room is 0, so the vertex
+    leaving the window has no unplaced neighbor; hence every placed
+    neighbor of an unplaced vertex lies within width of the next
+    position, and any unplaced vertex may go there.  Failed (placed-set,
+    window-order) states are memoized — the future depends on nothing
+    else; the placed set is keyed as a bitmask, an int far smaller than
+    a frozenset.
     """
-    m = g.vertex_count
-    adj = _adjacency_lists(g)
+    m = len(adj)
     degree = [len(a) for a in adj]
     # candidates tried by descending degree, tie by vertex id
     by_preference = sorted(range(m), key=lambda v: (-degree[v], v))
 
     placement: list[int] = []
-    placed = [False] * m
     position = [-1] * m
     unplaced_nbrs = degree[:]
     failed: set[tuple[int, tuple[int, ...]]] = set()
@@ -91,30 +92,19 @@ def _feasible_placement(g: SimpleGraph, width: int) -> tuple[int, ...] | None:
         if state in failed:
             return False
         for u in by_preference:
-            if placed[u]:
-                continue
-            if any(placed[w] and p - position[w] > width for w in adj[u]):
+            if position[u] >= 0:
                 continue
             placement.append(u)
-            placed[u] = True
             position[u] = p
             for w in adj[u]:
                 unplaced_nbrs[w] -= 1
-            ok = True
-            if p >= width:
-                leaving = placement[p - width]
-                if unplaced_nbrs[leaving] > 0:
-                    ok = False
-            if ok:
-                for t in range(max(0, p - width + 1), p + 1):
-                    v = placement[t]
-                    if unplaced_nbrs[v] > t + width - p:
-                        ok = False
-                        break
-            if ok and dfs(mask | 1 << u):
-                return True
+            for t in range(max(0, p - width), p + 1):
+                if unplaced_nbrs[placement[t]] > t + width - p:
+                    break
+            else:
+                if dfs(mask | 1 << u):
+                    return True
             placement.pop()
-            placed[u] = False
             position[u] = -1
             for w in adj[u]:
                 unplaced_nbrs[w] += 1
@@ -132,37 +122,34 @@ def exact_bandwidth_with_witness(
     """Exact bandwidth and a witness vertex order achieving it, for at
     most DEFAULT_CAP vertices.
 
-    With ``bracket = (lower, order)``, a lower bound and a vertex order
-    listing every vertex once, the upper end is the order's width over
-    the edges.  Width lower - 1 is proven infeasible (an AssertionError if
-    it is not) unless the degree bound already rules it out, and W is
-    tried in [max(lower, degree bound), upper - 1] only; if none is
-    feasible the result is ``(upper, order)``: the order is optimal.
+    ``bracket = (lower, order)`` is a lower bound and a vertex order
+    listing every vertex once, whose width over the edges is the upper
+    end; without one it is ``(0, identity order)``.  Width lower - 1 is
+    proven infeasible (an AssertionError if it is not) unless the degree
+    bound already rules it out, and W is tried in
+    [max(lower, degree bound), upper - 1] only; if none is feasible the
+    result is ``(upper, order)``: the order is optimal.
     """
     m = g.vertex_count
     if m > DEFAULT_CAP:
         raise CapacityError(
             f"{m} vertices exceeds the exact-search cap {DEFAULT_CAP}; use bounds/numberings"
         )
-    degree = max((-(-len(a) // 2) for a in _adjacency_lists(g)), default=0)
-    if bracket is None:
-        widths = range(degree, _order_width(g, range(m)) + 1)
-    else:
-        lower, order = bracket[0], tuple(bracket[1])
-        if sorted(order) != list(range(m)):
-            raise ValueError(f"order must list each of the {m} vertices once")
-        upper = _order_width(g, order)
-        if lower - 1 >= degree and _feasible_placement(g, lower - 1) is not None:
-            raise AssertionError(
-                f"width {lower - 1} is feasible: exact bandwidth outside [{lower}, {upper}]"
-            )
-        widths = range(max(lower, degree), upper)
-    for width in widths:
-        witness = _feasible_placement(g, width)
+    lower, order = bracket or (0, range(m))
+    order = tuple(order)
+    if sorted(order) != list(range(m)):
+        raise ValueError(f"order must list each of the {m} vertices once")
+    adj = _adjacency_lists(g)
+    degree = max((-(-len(a) // 2) for a in adj), default=0)
+    upper = _order_width(adj, order)
+    if lower - 1 >= degree and _feasible_placement(adj, lower - 1) is not None:
+        raise AssertionError(
+            f"width {lower - 1} is feasible: exact bandwidth outside [{lower}, {upper}]"
+        )
+    for width in range(max(lower, degree), upper):
+        witness = _feasible_placement(adj, width)
         if witness is not None:
             return width, witness
-    if bracket is None:
-        raise AssertionError("search must succeed at the identity width")
     return upper, order
 
 

@@ -1,5 +1,5 @@
-"""Every name a module imports is used: the library, the tests and the
-scripts are parsed with ``ast`` and each imported name looked up.
+"""Every name a module imports is used: the library and the tests are
+parsed with ``ast`` and each imported name looked up.
 
 A name counts as used when the module reads it, when its dotted path
 (``import bandgraph.cli``) appears as an attribute chain, or when
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in ("src/bandgraph", "tests", "scripts") for p in (ROOT / d).glob("*.py"))
+MODULES = sorted(p for d in ("src/bandgraph", "tests") for p in (ROOT / d).glob("*.py"))
 PACKAGE = sorted((ROOT / "src/bandgraph").glob("*.py"))
 
 

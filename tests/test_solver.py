@@ -6,7 +6,10 @@ vertices), plus closed forms for the classic families.
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +37,16 @@ from bandgraph.numbering import (
     low_remainder_numbering,
     mirror_numbering,
 )
-from bandgraph.solver import Certificate, certify, exact_bandwidth, exact_bandwidth_with_witness
+from bandgraph.solver import (
+    Certificate,
+    _adjacency_lists,
+    _feasible_placement,
+    certify,
+    exact_bandwidth,
+    exact_bandwidth_with_witness,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_exact_bandwidth(g: SimpleGraph) -> int:
@@ -146,6 +158,8 @@ class TestExactBandwidth:
             value, witness = exact_bandwidth_with_witness(g)
             assert sorted(witness) == list(range(m))
             assert order_width(g, witness) == value
+            # the no-argument call is the bracket (0, identity order)
+            assert exact_bandwidth_with_witness(g, (0, range(m))) == (value, witness)
 
     def test_bracket_searches_only_below_the_known_order(self):
         rng = random.Random(23)
@@ -165,6 +179,28 @@ class TestExactBandwidth:
             if value > 0:
                 with pytest.raises(AssertionError, match="outside"):
                     exact_bandwidth_with_witness(g, (value + 1, order))
+
+    def test_decision_at_every_width(self):
+        # no public call asks below the degree bound: here every width
+        # 0..m-1 is decided, feasible iff it is at least the bandwidth.
+        # K(2, 4) at width 3 reaches one placed set with two window
+        # orders, and only one of them completes
+        graphs = [SimpleGraph(6, [(u, v) for u in (0, 1) for v in range(2, 6)])]
+        rng = random.Random(24)
+        for _ in range(80):
+            m, density = rng.randint(1, 7), rng.random()
+            edges = [e for e in itertools.combinations(range(m), 2) if rng.random() < density]
+            graphs.append(SimpleGraph(m, edges))
+        for g in graphs:
+            m = g.vertex_count
+            value = brute_exact_bandwidth(g)
+            adj = _adjacency_lists(g)
+            for width in range(m):
+                placement = _feasible_placement(adj, width)
+                assert (placement is not None) == (width >= value), (g.edges, width)
+                if placement is not None:
+                    assert sorted(placement) == list(range(m))
+                    assert order_width(g, placement) <= width
 
     def test_bracket_upper_end_is_the_orders_width(self):
         # the upper end is worked out from the order, never taken on trust
@@ -260,6 +296,26 @@ class TestCertify:
             match = "witness width 6 over the edges, reported 5"
         with pytest.raises(AssertionError, match=match):
             certify(p, run_exact=True)
+
+    def test_run_exact_proof_raises_under_python_O(self):
+        # the lower - 1 proof is an explicit raise, which python -O keeps
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+            "import bandgraph.solver as solver\n"
+            "from bandgraph.core_graph import Params\n"
+            "solver.density_lower_bound = lambda p: 7\n"
+            "print(__debug__)\n"
+            "try:\n"
+            "    solver.certify(Params(6, 2, 3), run_exact=True)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120, check=True
+        )
+        debug, message = proc.stdout.splitlines()
+        assert debug == "False"
+        assert message.startswith("width 6 is feasible")
 
     def test_run_exact_refuses_a_misreported_wide_witness(self, monkeypatch):
         # a witness of width 9 reported at the exact value 6: the search
