@@ -45,7 +45,8 @@ class BetaDecomposition:
 
     regime is "low" when r <= (q-1)/(q^2+q-1) (remainder small enough
     that the fan apexes clear the band; exact asymptotics known) and
-    "high" otherwise (bounds only).
+    "high" otherwise (bounds only).  Fields that are no such split, or a
+    label that q and r do not give, raise ``ValueError``.
     """
 
     beta: Fraction
@@ -54,9 +55,21 @@ class BetaDecomposition:
     regime: str
 
     def __post_init__(self) -> None:
-        assert self.q * self.beta + self.r == 1
-        assert 0 <= self.r < self.beta
-        assert self.q >= 2
+        if self.q * self.beta + self.r != 1:
+            raise ValueError(f"q*beta + r must be 1, got {self.q}*{self.beta} + {self.r}")
+        if not 0 <= self.r < self.beta:
+            raise ValueError(f"r must lie in [0, beta), got r={self.r}, beta={self.beta}")
+        if self.q < 2:
+            raise ValueError(f"q must be at least 2, got {self.q}")
+        want = _regime(self.q, self.r)
+        if self.regime != want:
+            raise ValueError(f"regime of q={self.q}, r={self.r} is {want!r}, got {self.regime!r}")
+
+
+def _regime(q: int, r: Fraction) -> str:
+    """The regime label of 1 = q*beta + r, as ``BetaDecomposition`` states
+    it: r <= (q-1)/(q^2+q-1), compared in ints."""
+    return "low" if r.numerator * (q * q + q - 1) <= (q - 1) * r.denominator else "high"
 
 
 def exact_fraction(x: Fraction | int | str) -> Fraction:
@@ -75,8 +88,7 @@ def beta_decomposition(beta: Fraction | int | str) -> BetaDecomposition:
         raise ValueError(f"beta must lie in (0, 1/2], got {beta}")
     q = int(Fraction(1) / beta)  # floor, exact for integral 1/beta
     r = 1 - q * beta
-    regime = "low" if r <= Fraction(q - 1, q * q + q - 1) else "high"
-    return BetaDecomposition(beta=beta, q=q, r=r, regime=regime)
+    return BetaDecomposition(beta=beta, q=q, r=r, regime=_regime(q, r))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def are_adjacent(x: Vertex, y: Vertex, p: Params) -> bool:
     """Adjacency of two distinct vertices.
 
     Primary test: both one-sided reaches max(X)-min(Y) and max(Y)-min(X)
-    stay within b.  The assert cross-checks the defining condition
+    stay within b.  An explicit raise cross-checks the defining condition
     span(X ∪ Y) <= b; the two are equivalent because each vertex already
     has span <= b.
     """
@@ -165,7 +165,8 @@ def are_adjacent(x: Vertex, y: Vertex, p: Params) -> bool:
         raise ValueError("adjacency is only defined for distinct vertices")
     b = p.b
     adjacent = x[-1] - y[0] <= b and y[-1] - x[0] <= b
-    assert adjacent == (max(x[-1], y[-1]) - min(x[0], y[0]) <= b)
+    if adjacent != (max(x[-1], y[-1]) - min(x[0], y[0]) <= b):
+        raise AssertionError(f"reach and union-span tests disagree on {x}, {y}")
     return adjacent
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "LandmarkPoints",
     "landmark_points",
     "polygon_measure",
-    "trapezoid_measure",
     "verify_identities",
     "IdentityCheck",
     "IdentityReport",
@@ -84,11 +83,6 @@ class Polygon:
             for v in vertices
         )
         object.__setattr__(self, "vertices", pts)
-
-    def cleaned(self) -> tuple[RatPoint, ...]:
-        """Vertices with consecutive duplicates (cyclically) removed."""
-        pts = [p for i, p in enumerate(self.vertices) if p != self.vertices[i - 1]]
-        return tuple(pts)
 
 
 def omega_polygon() -> Polygon:
@@ -135,31 +129,15 @@ class LandmarkPoints:
 
     dec: BetaDecomposition
 
-    @property
-    def beta(self) -> Fraction:
-        return self.dec.beta
-
-    @property
-    def q(self) -> int:
-        return self.dec.q
-
-    @property
-    def r(self) -> Fraction:
-        return self.dec.r
-
-    @property
-    def gamma(self) -> Fraction:
-        return self.beta * (1 - Fraction(1, self.q))
-
     @cached_property
     def _grid(self) -> tuple[int, dict[str, list[tuple[int, int]]]]:
         """The denominator den(beta)*q*(q+1) and every landmark times it:
         one list per letter, indexed 0..q+1 (an index outside a letter's
         range holds the formula's value, which no accessor returns), and
         one-entry lists for H1 and I."""
-        q = self.q
-        den = self.beta.denominator * q * (q + 1)
-        b = self.beta.numerator * q * (q + 1)  # beta
+        q, beta = self.dec.q, self.dec.beta
+        den = beta.denominator * q * (q + 1)
+        b = beta.numerator * q * (q + 1)  # beta
         r = den - q * b
         g = b // q * (q - 1)  # gamma
         f = den // (q + 1)  # 1/(q+1)
@@ -188,30 +166,30 @@ class LandmarkPoints:
     def _at(self, name: str, i: int, lo: int, hi: int) -> RatPoint:
         if not lo <= i <= hi:
             raise GeometryError(f"{name}_{i} undefined; valid range {lo}..{hi}")
-        if name in ("D", "E") and self.dec.regime == "high" and i < self.q:
+        if name in ("D", "E") and self.dec.regime == "high" and i < self.dec.q:
             raise GeometryError(f"{name}_{i} is a low-remainder landmark (regime is high)")
         return self._points[name][i]
 
     def A(self, i: int) -> RatPoint:
-        return self._at("A", i, 0, self.q + 1)
+        return self._at("A", i, 0, self.dec.q + 1)
 
     def B(self, i: int) -> RatPoint:
-        return self._at("B", i, 1, self.q + 1)
+        return self._at("B", i, 1, self.dec.q + 1)
 
     def C(self, i: int) -> RatPoint:
-        return self._at("C", i, 0, self.q)
+        return self._at("C", i, 0, self.dec.q)
 
     def D(self, i: int) -> RatPoint:
-        return self._at("D", i, 1, self.q + 1)
+        return self._at("D", i, 1, self.dec.q + 1)
 
     def E(self, i: int) -> RatPoint:
-        return self._at("E", i, 0, self.q)
+        return self._at("E", i, 0, self.dec.q)
 
     def F(self, i: int) -> RatPoint:
-        return self._at("F", i, 0, self.q + 1)
+        return self._at("F", i, 0, self.dec.q + 1)
 
     def G(self, i: int) -> RatPoint:
-        return self._at("G", i, 0, self.q + 1)
+        return self._at("G", i, 0, self.dec.q + 1)
 
     @property
     def H1(self) -> RatPoint:
@@ -310,30 +288,6 @@ def polygon_measure(poly: Polygon, k: int) -> Fraction:
     if k < 2:
         raise GeometryError("measure needs k >= 2")
     return _measure(*_scaled(poly.vertices), k)
-
-
-def trapezoid_measure(s, t, u, v, k: int) -> Fraction:
-    """mu of a trapezoid with parallel sides on y = x+s and y = x+t.
-
-    u and v are the horizontal extents of the sides at levels s and t.
-    The value only depends on (s, t, u, v): with w(d) the linear width
-    at level d (w(s) = u, w(t) = v),
-
-        mu = 1/(k-2)! * integral_s^t d^(k-2) * w(d) dd
-           = 1/(k-2)! * 1/(t-s) * ((v-u)(t^k - s^k)/k
-                                    + (t*u - s*v)(t^(k-1) - s^(k-1))/(k-1)).
-    """
-    s, t, u, v = map(exact_fraction, (s, t, u, v))
-    if k < 2:
-        raise GeometryError("measure needs k >= 2")
-    if s >= t:
-        raise GeometryError(f"needs s < t, got s={s}, t={t}")
-    if not (0 <= s and t <= 1) or u < 0 or v < 0:
-        raise GeometryError("trapezoid outside the domain or negative side length")
-    value = (v - u) * (t**k - s**k) / k + (t * u - s * v) * (
-        t ** (k - 1) - s ** (k - 1)
-    ) / (k - 1)
-    return value / (t - s) / math.factorial(k - 2)
 
 
 # ── identity suite tying measures to the growth coefficients ──────────

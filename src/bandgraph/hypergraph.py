@@ -167,7 +167,10 @@ def _min_set_cover(universe_size: int, masks: list[int]) -> int:
     full = (1 << universe_size) - 1
     if full == 0:
         return 0
-    if any(not any(mask >> e & 1 for mask in masks) for e in range(universe_size)):
+    by_element: dict[int, list[int]] = {
+        e: [mk for mk in masks if mk >> e & 1] for e in range(universe_size)
+    }
+    if not all(by_element.values()):
         raise ValueError("set cover infeasible: an element is uncovered by all sets")
 
     # greedy upper bound
@@ -178,10 +181,6 @@ def _min_set_cover(universe_size: int, masks: list[int]) -> int:
         covered |= best
         greedy += 1
     best_size = greedy
-
-    by_element: dict[int, list[int]] = {
-        e: [mk for mk in masks if mk >> e & 1] for e in range(universe_size)
-    }
 
     def dfs(covered: int, used: int) -> None:
         nonlocal best_size

@@ -523,7 +523,8 @@ def _exact_position(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
     stays within n³ in absolute value when |num/den| <= n, as for every
     position here; ``_band_scale`` refuses n³ >= 2⁶³.
     """
-    assert (den > 0).all() and (den <= n).all()
+    if not ((den > 0).all() and (den <= n).all()):
+        raise AssertionError(f"position denominators must lie in 1..{n}")
     quot, rem = np.divmod(num, den)
     return quot * (n * n) + rem * (n * n) // den
 

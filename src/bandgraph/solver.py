@@ -232,14 +232,13 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
     if central_count(p) > 0:
         lower = max(lower, central_lower_bound(p))
 
-    upper: int | None = None
-    for f in _candidates(p):
+    candidates = _candidates(p)
+    witness = next(candidates)
+    upper = bandwidth_of_numbering(witness)
+    while upper != lower and (f := next(candidates, None)) is not None:
         width = bandwidth_of_numbering(f)
-        if upper is None or width < upper:
+        if width < upper:
             upper, witness = width, f
-        if upper == lower:
-            break
-    assert upper is not None
 
     exact_value: int | None = None
     if run_exact:

@@ -15,7 +15,7 @@ is off the boundary, the even-odd rule with a horizontal ray.
 ``LandmarkPoints`` before the library tabulated every landmark once as
 ints over one denominator, with the same index and regime refusals.
 
-They share no code with ``bandgraph.geometry`` beyond ``Polygon.cleaned``,
+They share no code with ``bandgraph.geometry`` beyond ``Polygon``,
 ``GeometryError``, ``RatPoint`` and ``class_size`` (``Landmarks`` reads q, r
 and beta from the ``BetaDecomposition`` it is given), so the tests compare
 the library against them.
@@ -33,6 +33,11 @@ from bandgraph.geometry import GeometryError, Polygon, RatPoint
 
 
 # ── measures by triangle fans ─────────────────────────────────────────
+
+
+def cleaned(poly: Polygon) -> tuple[RatPoint, ...]:
+    """The corners with consecutive duplicates (cyclically) removed."""
+    return tuple(p for i, p in enumerate(poly.vertices) if p != poly.vertices[i - 1])
 
 
 def _cross(o: RatPoint, a: RatPoint, b: RatPoint) -> Fraction:
@@ -100,7 +105,7 @@ def triangle_integral(p0: RatPoint, p1: RatPoint, p2: RatPoint, m: int) -> Fract
 def polygon_measure(poly: Polygon, k: int) -> Fraction:
     """mu(poly) = 1/(k-2)! * integral of (y-x)^(k-2), k >= 2, as a fan of
     triangles from the first corner, counterclockwise."""
-    pts = poly.cleaned()
+    pts = cleaned(poly)
     if len(pts) < 3:
         return Fraction(0)
     validate_simple_in_domain(pts)
@@ -143,7 +148,7 @@ def point_strictly_inside(px: Fraction, py: Fraction, pts: tuple[RatPoint, ...])
 def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     """Vertices of G(n, k, n) whose (min/n, max/n) lies in the closed
     polygon, summed point by point over all O(n²) lattice points."""
-    pts = poly.cleaned()
+    pts = cleaned(poly)
     if len(pts) < 3:
         return 0
     total = 0

@@ -6,7 +6,10 @@ c3 = (beta-r)^k/((q+1)k!) * q^(k-1).
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,18 @@ from bandgraph.core_graph import (
     diameter,
     vertex_count_formula,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (beta, q, r, regime) that are no decomposition, and the refusal of each
+BAD_DECOMPOSITIONS = [
+    (("1/3", 2, "1/2", "low"), "q*beta + r must be 1"),
+    (("1/2", 1, "1/2", "low"), "r must lie in [0, beta)"),
+    (("2/5", 3, "-1/5", "low"), "r must lie in [0, beta)"),
+    (("3/5", 1, "2/5", "low"), "q must be at least 2"),
+    (("9/20", 2, "1/10", "high"), "regime of q=2, r=1/10 is 'low', got 'high'"),
+    (("7/20", 2, "3/10", "low"), "regime of q=2, r=3/10 is 'high', got 'low'"),
+]
 
 
 class TestBetaDecomposition:
@@ -65,6 +80,29 @@ class TestBetaDecomposition:
         # 0.45 is 8106479329266893/2^54, not 9/20
         with pytest.raises(TypeError):
             beta_decomposition(beta)
+
+    def test_refuses_what_is_no_decomposition_under_python_O(self):
+        # the checks are explicit raises, which python -O keeps
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+            "from fractions import Fraction\n"
+            "from bandgraph.bounds import BetaDecomposition\n"
+            "print(__debug__)\n"
+            f"for beta, q, r, regime in {[args for args, _ in BAD_DECOMPOSITIONS]!r}:\n"
+            "    try:\n"
+            "        BetaDecomposition(Fraction(beta), q, Fraction(r), regime)\n"
+            "        print('constructed')\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120, check=True
+        )
+        debug, *refusals = proc.stdout.splitlines()
+        assert debug == "False"
+        assert len(refusals) == len(BAD_DECOMPOSITIONS)
+        for line, (_, message) in zip(refusals, BAD_DECOMPOSITIONS):
+            assert message in line
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -15,9 +15,9 @@ import pytest
 
 import bandgraph.cli
 import bandgraph.suites
-from bandgraph.bounds import density_lower_bound, lex_upper_bound_value
+from bandgraph.bounds import beta_decomposition, density_lower_bound, lex_upper_bound_value
 from bandgraph.cli import CSV_COLUMNS, main, sweep_row
-from bandgraph.core_graph import Params
+from bandgraph.core_graph import Params, diameter
 from bandgraph.numbering import palindromic_vertex_count
 from bandgraph.suites import Check, SuiteResult
 
@@ -377,7 +377,7 @@ class TestVerify:
 
     def test_distance_fault_reports_three_bound_failures(self, capsys, monkeypatch):
         # a closed form without its second reach term undercuts the BFS on
-        # thousands of ordered pairs; the family shows only three of them
+        # thousands of class pairs; the family shows only three of them
         def one_sided(p, lo1, hi1, lo2, hi2):
             far = hi1 - lo2 - p.b
             return 1 - ((far + abs(far)) // 2 // -(p.b - p.k + 1))
@@ -385,11 +385,45 @@ class TestVerify:
         monkeypatch.setattr(bandgraph.suites, "class_distance", one_sided)
         assert main(["verify", "distances"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        summary = [line.startswith("  [FAIL] upper-bound-dominates(n<=14)") for line in lines]
-        before = lines[: summary.index(True)]
-        bounds = [line for line in before if line.startswith("  [FAIL] bound(")]
-        assert len(bounds) == 3
-        assert len(lines) == 12
+        assert lines[:2] == [
+            "suite distances",
+            "  [PASS] diameter(n<=20,k<=4)  724 instances checked",
+        ]
+        assert all(line.startswith("  [FAIL] closed-form(") for line in lines[2:5])
+        assert lines[5:] == [
+            "  [FAIL] closed-form-equals-bfs(n<=20,k<=4)  4359932 ordered class pairs",
+            "result: FAIL (5 checks)",
+        ]
+
+    def test_diameter_fault_reports_every_instance_then_summary(self, capsys, monkeypatch):
+        monkeypatch.setattr(bandgraph.suites, "diameter", lambda p: diameter(p) + 1)
+        assert main(["verify", "distances"]) == 1
+        grid = [Params(n, k, b) for n in range(1, 21) for k in range(1, 5) for b in range(k, n + 1)]
+        assert len(grid) == 724
+        assert capsys.readouterr().out.splitlines() == [
+            "suite distances",
+            *(
+                f"  [FAIL] diameter({p.n},{p.k},{p.b})  bfs={diameter(p)} formula={diameter(p) + 1}"
+                for p in grid
+            ),
+            "  [FAIL] diameter(n<=20,k<=4)  724 instances checked",
+            "  [PASS] closed-form-equals-bfs(n<=20,k<=4)  4359932 ordered class pairs",
+            "result: FAIL (726 checks)",
+        ]
+
+    def test_meta_reports_a_misplaced_decomposition(self, capsys, monkeypatch):
+        # every drawn beta is built in the high regime; a decomposition
+        # that lands elsewhere fails its check instead of raising
+        landed = beta_decomposition("9/20")
+        monkeypatch.setattr(bandgraph.suites, "beta_decomposition", lambda beta: landed)
+        assert main(["verify", "meta", "--random", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("  [FAIL] decomposition(beta=") for line in lines[4:6])
+        assert all(line.endswith(", high") and "q=2, r=1/10, low;" in line for line in lines[4:6])
+        assert lines[6:] == [
+            "  [FAIL] c2/c3 >= 6 (x2 betas, seed=7)  k in 2..5 each",
+            "result: FAIL (6 checks)",
+        ]
 
     def test_fault_reports_every_failure_then_summary(self, capsys, monkeypatch):
         monkeypatch.setattr(bandgraph.suites, "transform_equals_band_graph", lambda p: p.n % 3)

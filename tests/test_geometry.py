@@ -32,7 +32,6 @@ from bandgraph.geometry import (
     omega_polygon,
     polygon_measure,
     region_vertex_count,
-    trapezoid_measure,
     verify_identities,
 )
 
@@ -80,9 +79,14 @@ class TestPolygonBasics:
         poly = Polygon([(0, 0), (F(1, 2), F(1, 2)), (0, 1)])
         assert poly.vertices[1] == RatPoint(F(1, 2), F(1, 2))
 
-    def test_cleaned_removes_consecutive_duplicates(self):
-        poly = Polygon([(0, 0), (0, 0), (F(1, 2), F(1, 2)), (0, 1), (0, 1)])
-        assert len(poly.cleaned()) == 3
+    def test_repeated_corners_change_no_measure_or_count(self):
+        # a corner twice, one three times, and the last equal to the first
+        a, b, c, d = (0, 0), (F(1, 2), F(1, 2)), (F(1, 4), 1), (0, 1)
+        plain, doubled = Polygon([a, b, c, d]), Polygon([a, a, b, c, c, c, d, a])
+        for k in (2, 3, 4):
+            assert polygon_measure(doubled, k) == polygon_measure(plain, k) > 0
+            for n in (7, 20):
+                assert region_vertex_count(doubled, n, k) == region_vertex_count(plain, n, k) > 0
 
     def test_omega_and_band(self):
         assert polygon_measure(omega_polygon(), 2) == F(1, 2)
@@ -202,43 +206,6 @@ class TestMeasure:
                 assert polygon_measure(left, k) + polygon_measure(right, k) == (
                     polygon_measure(whole, k)
                 )
-
-
-class TestTrapezoid:
-    def test_pinned_values(self):
-        assert trapezoid_measure(F(0), F(1, 2), F(1, 4), F(1, 4), 2) == F(1, 8)
-        beta = F(2, 5)
-        for v in (F(1, 5), F(2, 5)):
-            assert trapezoid_measure(F(0), beta, F(0), v, 2) == v * beta / 2
-
-    def test_matches_polygon_measure(self):
-        # realize (s, t, u, v) as a quadrilateral with sides of lengths
-        # u and v lying on y = x+s and y = x+t, left edge vertical
-        rng = random.Random(5)
-        for _ in range(100):
-            s16 = rng.randint(0, 10)
-            t16 = rng.randint(s16 + 1, 14)
-            a16 = rng.randint(0, 2)
-            u16 = rng.randint(0, 16 - s16 - a16)
-            v16 = rng.randint(0, 16 - t16 - a16)
-            s, t, a, u, v = (F(z, 16) for z in (s16, t16, a16, u16, v16))
-            pts = Polygon(
-                [(a, a + s), (a + u, a + u + s), (a + v, a + v + t), (a, a + t)]
-            ).cleaned()
-            for k in (2, 3, 4):
-                want = polygon_measure(Polygon(pts), k) if len(pts) >= 3 else F(0)
-                assert trapezoid_measure(s, t, u, v, k) == want
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            trapezoid_measure(F(1, 2), F(1, 2), F(1, 2), F(3, 4), 2)
-        with pytest.raises(ValueError):
-            trapezoid_measure(F(3, 4), F(1, 4), F(3, 4), F(3, 4), 2)
-
-    def test_refuses_floats(self):
-        for t in (0.45, np.float64(0.45), np.float32(0.45)):
-            with pytest.raises(TypeError):
-                trapezoid_measure(F(0), t, F(1, 10), F(1, 5), 2)
 
 
 # both regimes (7/20 is the high one) and r = 0 (1/3, 1/2)

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import bandgraph.hypergraph
 from bandgraph.core_graph import Params, are_adjacent, enumerate_vertices
 from bandgraph.hypergraph import (
     CapacityError,
@@ -218,6 +219,11 @@ class TestCoverNumbers:
         for _ in range(40):
             h = random_hypergraph(rng)
             assert weak_edge_clique_cover_number(h) == brute_weak_edge_cover(h)
+
+    def test_infeasible_cover_raises(self):
+        # no mask holds element 2, so the greedy bound would never finish
+        with pytest.raises(ValueError, match="an element is uncovered by all sets"):
+            bandgraph.hypergraph._min_set_cover(3, [0b011, 0b001])
 
     def test_capacity_errors(self):
         big_graph = SimpleGraph(25, [])

@@ -8,6 +8,9 @@ A name counts as used when the module reads it, when its dotted path
 Every private function, class or method of the package (``_name``, not
 dunder) is referenced somewhere in the package, by name or attribute.
 
+The package has no ``assert`` statement: ``python -O`` drops them, so
+every check it makes is an explicit raise.
+
 Also: importing the package leaves networkx unloaded, and numpy unrun
 until a numbering needs it.
 """
@@ -88,6 +91,21 @@ def test_scan_finds_orphaned_helpers():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_helpers([path.read_text() for path in PACKAGE]) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """The line of every ``assert`` statement in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_assert_statements():
+    source = "assert x\nif not x:\n    raise AssertionError(x)\ndef f():\n    assert y, 'msg'\n"
+    assert assert_statements(source) == [1, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def test_import_bandgraph_leaves_networkx_unloaded():
