@@ -18,14 +18,19 @@ operations for E edges and one Fraction at the end.  The simplicity and
 domain tests run on the same integer corners.  The triangle-fan
 integral in Fractions is the oracle in ``tests/geometry_oracle.py``.
 
-Counts go column by column: column x = i/n meets the closed polygon in
-closed runs of y, found from the exact edge crossings; a run admits an
-interval of j, and C(j-i-1, k-2) sums over it in closed form (hockey
-stick).  The integer corners are scaled once more, so that every
-crossing of a column is an int and the row bounds are integer floor
-divisions: O(n·E log E) integer operations for E edges and no Fraction
-per column, where a per-point test would take O(n²·E); the per-point
-test is the oracle in ``tests/geometry_oracle.py``.
+Counts go slab by slab: a column x = i/n meets the closed polygon in
+closed runs of y, a run admits an interval of j, and C(j-i-1, k-2) sums
+over it in closed form (hockey stick).  The integer corners are scaled
+once more, so that every crossing of a column is an int and the row
+bounds are integer floor divisions.  Only the columns through a corner
+are scanned run by run; between them, in each open slab, the edges pair
+up into the runs' bounds, and the row floor of an edge repeats with the
+period of its slope's denominator, so the slab's column sums close by
+Newton's forward differences.  That is O(E² log E) integer operations
+for E edges plus min(p, slab width)·O(k²) per edge and slab, p the
+slope's denominator: no Fraction, and for a fixed polygon a cost that
+does not grow with n, where a per-point test would take O(n²·E); the
+per-point test is the oracle in ``tests/geometry_oracle.py``.
 
 The landmarks of the band decomposition are tabulated once per
 ``LandmarkPoints``, on first use, as ints over one denominator, and the
@@ -37,6 +42,7 @@ float takes part in any decision.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -397,9 +403,9 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 def _column_runs(slanted, walls, c: int) -> list[tuple[int, int]]:
     """Closed runs [y0, y1] in which column c meets the closed polygon,
     bottom to top, in the scaled ints of ``region_vertex_count``.  The
-    non-vertical edges come as (lo, hi, x0, y0, slope) and meet the
-    column at y = y0 + (c - x0)*slope where lo <= c <= hi; the vertical
-    edges come as (x, y0, y1) with y0 <= y1.
+    non-vertical edges come as (lo, hi, slope, icpt) and meet the column
+    at y = slope*c + icpt where lo <= c <= hi; the vertical edges come
+    as (x, y0, y1) with y0 <= y1.
 
     The line meets the boundary at the crossings of the edges that span
     c, and along any edge lying on it; every other point of the line is
@@ -413,9 +419,9 @@ def _column_runs(slanted, walls, c: int) -> list[tuple[int, int]]:
     """
     on_line = [(y0, y1) for x, y0, y1 in walls if x == c]
     levels, crossings = {y for run in on_line for y in run}, []
-    for lo, hi, x0, y0, slope in slanted:
+    for lo, hi, slope, icpt in slanted:
         if lo <= c <= hi:
-            levels.add(y := y0 + (c - x0) * slope)
+            levels.add(y := slope * c + icpt)
             if c < hi:
                 crossings.append(y)
     levels = sorted(levels)
@@ -437,20 +443,69 @@ def _span_sum(i: int, lo: int, hi: int, k: int) -> int:
     return comb0(hi - i, k - 1) - comb0(lo - 1 - i, k - 1)
 
 
+def _floor_binomial_sum(a: int, c: int, row: int, first: int, last: int, r: int) -> int:
+    """The sum of C(floor((a*i + c)/row) - i, r) over first <= i <= last,
+    where every argument is >= 0.
+
+    With g = gcd(a, row) and p = row/g, the argument grows by a/g - p
+    when i grows by p, so on each residue class mod p it is linear in
+    the class index t and the binomial is a polynomial of degree r in
+    t.  Newton's forward differences sum it from its first r + 1 values,
+    sum over t < T of f(t) = sum_j Delta^j f(0) * C(T, j+1); a class of
+    at most r + 1 terms is summed directly.  That is min(p, last-first+1)
+    classes at O(r²) integer operations each.
+    """
+    g = math.gcd(a, row)
+    p = row // g
+    step = a // g - p
+    total = 0
+    for i0 in range(first, min(first + p, last + 1)):
+        terms = (last - i0) // p + 1
+        v0 = (a * i0 + c) // row - i0
+        values = [math.comb(v0 + step * t, r) for t in range(min(terms, r + 1))]
+        if terms <= r + 1:
+            total += sum(values)
+            continue
+        for j in range(r + 1):
+            total += values[0] * math.comb(terms, j + 1)
+            values = [y1 - y0 for y0, y1 in zip(values, values[1:])]
+    return total
+
+
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"lattice counts need an integer {name}, got {value!r}") from None
+
+
 def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     """Number of vertices X of G(n, k, n) with (min/n, max/n) in the
-    closed polygon.
+    closed polygon; n and k must be ints (numpy ints are taken).
 
-    Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices.
-    The count goes column by column: column x = i/n meets the polygon in
-    closed runs of y (``_column_runs``), each run admits the j between
-    the ceil and floor of its ends times n, and those sum in closed form.
-    It runs on ints: with the corners scaled by their common denominator
-    D and L the lcm of the edges' nonzero |X1 - X0|, x is scaled by n·D,
+    Each admitted lattice pair (i, j) contributes C(j-i-1, k-2) vertices,
+    and a run of j in column i sums in closed form (``_span_sum``).  It
+    runs on ints: with the corners scaled by their common denominator D
+    and L the lcm of the edges' nonzero |X1 - X0|, x is scaled by n·D,
     so column i sits at i·D, and y by n·D·L, so that every crossing of a
-    column is an int and row j sits at j·D·L.  That is O(n·E log E)
-    integer operations for E edges; the boundary counts as inside.
+    column is an int and row j sits at j·D·L.
+
+    Only the corner columns, those through a corner, are scanned one by
+    one (``_column_runs``): walls, touching corners and edges along a
+    column occur only there.  In the open slab between two consecutive
+    corner x no edges cross, so the edges spanning it, sorted by their
+    y at its midpoint, pair up bottom to top (the even-odd rule) into
+    lower and upper bounds L(i) < U(i) of the runs, and column i adds
+    C(floor(U(i)/row) - i, k-1) - C(ceil(L(i)/row) - 1 - i, k-1).  Each
+    of the two sums over the slab is periodic in i (``_floor_binomial_sum``).
+    A lower edge that meets the diagonal inside a slab lies on it, and
+    adds 0.  That is O(E² log E) integer operations for E edges plus,
+    for each edge in each slab, min(p, slab width)·O(k²), with p the
+    denominator of the edge's slope (1 for the omega and band polygons):
+    for a fixed polygon the cost does not grow with n.  The boundary
+    counts as inside.
     """
+    n, k = _index("n", n), _index("k", k)
     if n < 1 or k < 1:
         raise GeometryError(f"lattice counts need n >= 1 and k >= 1, got n = {n}, k = {k}")
     d, corners = _scaled(poly.vertices)
@@ -459,17 +514,34 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
         return 0
     pairs = list(zip(corners, corners[1:] + corners[:1]))
     ell = math.lcm(*(abs(x1 - x0) for (x0, _), (x1, _) in pairs if x1 != x0))
+    row = d * ell
     edges = [(x0 * n, y0 * n * ell, x1 * n, y1 * n * ell) for (x0, y0), (x1, y1) in pairs]
     walls = [(x0, min(y0, y1), max(y0, y1)) for x0, y0, x1, y1 in edges if x0 == x1]
-    # exact slopes: x1 - x0 = n*(X1 - X0) divides n*L, and y1 - y0 is a multiple of n*L
-    slanted = [(min(x0, x1), max(x0, x1), x0, y0, (y1 - y0) // (x1 - x0)) for x0, y0, x1, y1 in edges if x0 != x1]
-    row = d * ell
-    xs = [x for x, _ in corners]
+    slanted = []
+    for x0, y0, x1, y1 in edges:
+        if x0 != x1:
+            # exact slope: x1 - x0 = n*(X1 - X0) divides n*L, and y1 - y0 is a multiple of n*L
+            slope = (y1 - y0) // (x1 - x0)
+            slanted.append((min(x0, x1), max(x0, x1), slope, y0 - x0 * slope))
+    xs = sorted({x for x, _, _, _ in edges})
     total = 0
-    for i in range(max(0, -(-min(xs) * n // d)), min(n, max(xs) * n // d) + 1):
-        for y0, y1 in _column_runs(slanted, walls, i * d):
-            lo = max(i, -(-y0 // row))
-            hi = min(n, y1 // row)
-            if lo <= hi:
-                total += _span_sum(i, lo, hi, k)
+    for x in xs:
+        if x % d == 0:
+            i = x // d
+            for y0, y1 in _column_runs(slanted, walls, x):
+                lo = max(i, -(-y0 // row))
+                hi = min(n, y1 // row)
+                if lo <= hi:
+                    total += _span_sum(i, lo, hi, k)
+    for xa, xb in zip(xs, xs[1:]):
+        first, last = xa // d + 1, (xb - 1) // d
+        spanning = sorted(
+            (e for e in slanted if e[0] <= xa and xb <= e[1]),
+            key=lambda e: e[2] * (xa + xb) + 2 * e[3],
+        )
+        # at column i an edge sits at y = (slope*D)*i + icpt; ceil(y/row) - 1 = floor((y-1)/row)
+        for (_, _, s0, c0), (_, _, s1, c1) in zip(spanning[::2], spanning[1::2]):
+            total += _floor_binomial_sum(s1 * d, c1, row, first, last, k - 1)
+            if (s0 * d, c0) != (row, 0):  # not the diagonal
+                total -= _floor_binomial_sum(s0 * d, c0 - 1, row, first, last, k - 1)
     return total

@@ -230,10 +230,10 @@ def suite_identities() -> SuiteResult:
 
 
 def suite_counts() -> SuiteResult:
-    """Lattice counting: closed-form totals, up to n = 2000, and the
+    """Lattice counting: closed-form totals, up to n = 10^6, and the
     halving of the count/n^k vs measure error from n=100 to n=200."""
     checks = []
-    for n, k in ((30, 2), (30, 3), (24, 4), (2000, 2)):
+    for n, k in ((30, 2), (30, 3), (24, 4), (2000, 2), (10**6, 3)):
         total = region_vertex_count(omega_polygon(), n, k)
         checks.append(
             Check(
@@ -242,7 +242,7 @@ def suite_counts() -> SuiteResult:
                 detail=f"count={total} expected={math.comb(n + 1, k)}",
             )
         )
-    for n, k, b in ((20, 2, 7), (20, 3, 9), (24, 2, 9), (2000, 3, 600)):
+    for n, k, b in ((20, 2, 7), (20, 3, 9), (24, 2, 9), (2000, 3, 600), (10**6, 3, 300000)):
         p = Params(n=n, k=k, b=b)
         total = region_vertex_count(band_polygon(Fraction(b, n)), n, k)
         checks.append(

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import geometry_oracle
 
+from bandgraph import geometry
 from bandgraph.bounds import beta_decomposition
 from bandgraph.core_graph import Params, class_size, vertex_count_formula
 from bandgraph.geometry import (
@@ -479,6 +480,52 @@ class TestRegionCount:
         with pytest.raises(GeometryError, match="n >= 1 and k >= 1"):
             region_vertex_count(band_polygon(F(1, 4)), n, k)
 
+    @pytest.mark.parametrize(
+        "n, k, name",
+        [(F(21, 2), 2, "n"), (F(10), 2, "n"), (10.0, 2, "n"), ("10", 2, "n"), (10, F(2), "k"), (10, 2.0, "k")],
+        ids=["n=21/2", "n=Fraction(10)", "n=10.0", "n='10'", "k=Fraction(2)", "k=2.0"],
+    )
+    def test_refuses_a_non_integer_n_or_k(self, n, k, name):
+        with pytest.raises(TypeError, match=f"need an integer {name}, got"):
+            region_vertex_count(band_polygon("2/5"), n, k)
+
+    def test_takes_numpy_ints(self):
+        poly = band_polygon("2/5")
+        assert region_vertex_count(poly, np.int64(50), np.int32(3)) == region_vertex_count(poly, 50, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_closed_forms_at_a_million(self, k):
+        n = 10**6
+        assert region_vertex_count(omega_polygon(), n, k) == math.comb(n + 1, k)
+        for b in (3, 299_999, 500_000):
+            assert region_vertex_count(band_polygon(F(b, n)), n, k) == (
+                vertex_count_formula(Params(n=n, k=k, b=b))
+            )
+
+    @pytest.mark.parametrize(
+        "poly, corner_columns",
+        [
+            (band_polygon("2/5"), 3),
+            # vertical walls at x = 1/5 and x = 1/2
+            (Polygon([(F(1, 5), F(2, 5)), (F(1, 2), F(1, 2)), (F(1, 2), F(4, 5)), (F(1, 5), F(4, 5))]), 2),
+        ],
+    )
+    def test_only_corner_columns_are_scanned(self, monkeypatch, poly, corner_columns):
+        calls = []
+        scan = geometry._column_runs
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(geometry, "_column_runs", counted)
+        made = {}
+        for n in (50, 10**6):
+            calls.clear()
+            region_vertex_count(poly, n, 3)
+            made[n] = len(calls)
+        assert made[50] == made[10**6] == corner_columns
+
     def test_band_counts_formula(self):
         for n, k, b in ((10, 2, 3), (12, 3, 5), (9, 2, 4), (12, 4, 7)):
             p = Params(n=n, k=k, b=b)
@@ -512,8 +559,14 @@ class TestRegionCount:
             done += 1
 
     @settings(max_examples=200, deadline=None)
-    @given(lattice_star_polygons(), st.integers(1, 4))
+    @given(lattice_star_polygons(), st.integers(1, 5))
     @example((omega_polygon().vertices, 7), 3)
+    # a lower edge along the diagonal, whose slab sum is skipped
+    @example(([(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4)), (F(1, 4), F(3, 4))], 8), 1)
+    @example(([(F(1, 4), F(1, 4)), (F(3, 4), F(3, 4)), (F(1, 4), F(3, 4))], 8), 4)
+    # the lower edge has slope 3/4: its period, 4 columns, exceeds the
+    # slab's 3 columns
+    @example(([(0, F(1, 4)), (1, 1), (0, 1)], 4), 5)
     # a C opening to the right: vertical and horizontal edges on the
     # lattice, and two runs in the columns 1/4 < x <= 1/2
     @example(
@@ -535,11 +588,14 @@ class TestRegionCount:
             region_vertex_count(bowtie, 8, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(off_grid_star_polygons(), st.integers(1, 4))
+    @given(off_grid_star_polygons(), st.integers(1, 5))
     # a vertical edge on the column x = 1/2, a horizontal edge at y = 5/7
     # between rows, and a vertical edge between columns, in both windings
     @example(([(F(1, 7), F(2, 7)), (F(1, 2), F(4, 7)), (F(1, 2), F(5, 7)), (F(1, 7), F(5, 7))], 4), 2)
     @example(([(F(1, 7), F(5, 7)), (F(1, 2), F(5, 7)), (F(1, 2), F(4, 7)), (F(1, 7), F(2, 7))], 4), 3)
+    # the lower edge has slope 4/5 and the slab between x = 1/7 and 6/7
+    # holds the columns 1..3, fewer than the period 5
+    @example(([(F(1, 7), F(2, 7)), (F(6, 7), F(6, 7)), (F(1, 7), 1)], 4), 5)
     def test_matches_per_point_oracle_off_the_lattice(self, case, k):
         vertices, n = case
         poly = Polygon(vertices)
