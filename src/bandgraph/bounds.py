@@ -81,8 +81,11 @@ def exact_fraction(x: Fraction | int | str) -> Fraction:
     return Fraction(x)
 
 
-def beta_decomposition(beta: Fraction | int | str) -> BetaDecomposition:
-    """Decompose beta in (0, 1/2] as 1 = q*beta + r and classify the regime."""
+def beta_decomposition(beta: BetaDecomposition | Fraction | int | str) -> BetaDecomposition:
+    """Decompose beta in (0, 1/2] as 1 = q*beta + r and classify the regime;
+    a decomposition is returned as it is."""
+    if isinstance(beta, BetaDecomposition):
+        return beta
     beta = exact_fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ValueError(f"beta must lie in (0, 1/2], got {beta}")
@@ -99,8 +102,9 @@ class Coefficients:
     gamma: Fraction  # beta * (1 - 1/q), the quadrangle width on the diagonal
 
 
-def coefficients(beta: Fraction | int | str, k: int) -> Coefficients:
-    """The exact rational growth coefficients for given beta and k >= 2."""
+def coefficients(beta: BetaDecomposition | Fraction | int | str, k: int) -> Coefficients:
+    """The exact rational growth coefficients for given beta (or its
+    decomposition) and k >= 2."""
     if k < 2:
         raise ValueError("coefficients need k >= 2")
     dec = beta_decomposition(beta)
@@ -114,14 +118,15 @@ def coefficients(beta: Fraction | int | str, k: int) -> Coefficients:
 
 
 def asymptotic_coefficient_interval(
-    beta: Fraction | int | str, k: int
+    beta: BetaDecomposition | Fraction | int | str, k: int
 ) -> tuple[Fraction, Fraction]:
-    """(lower, upper) coefficients of n^k bounding the bandwidth growth.
+    """(lower, upper) coefficients of n^k bounding the bandwidth growth,
+    for given beta (or its decomposition).
 
     In the low-remainder regime the interval collapses to (c1, c1).
     """
     dec = beta_decomposition(beta)
-    co = coefficients(dec.beta, k)
+    co = coefficients(dec, k)
     if dec.regime == "low":
         return co.c1, co.c1
     return max(co.c1, co.c2 + co.c3 / dec.q ** (k - 1)), co.c2 + co.c3

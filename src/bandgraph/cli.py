@@ -117,7 +117,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     out.append(f"  beta = b/n = {beta}")
     if 2 * p.b <= p.n and p.k >= 2:
         dec = beta_decomposition(beta)
-        co = coefficients(beta, p.k)
+        co = coefficients(dec, p.k)
         out.append(
             f"  regime: {dec.regime}-remainder (q = {dec.q}, r = {dec.r}, "
             f"gamma = {co.gamma})"
@@ -125,7 +125,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         out.append(f"  c1 = {co.c1} (~{_fmt12(co.c1)})")
         out.append(f"  c2 = {co.c2} (~{_fmt12(co.c2)})")
         out.append(f"  c3 = {co.c3} (~{_fmt12(co.c3)})")
-        lo_c, up_c = asymptotic_coefficient_interval(beta, p.k)
+        lo_c, up_c = asymptotic_coefficient_interval(dec, p.k)
         out.append(
             f"  asymptotic bandwidth/n^k interval: [{lo_c}, {up_c}] "
             f"(~[{_fmt12(lo_c)}, {_fmt12(up_c)}])"
@@ -280,8 +280,8 @@ def sweep_row(k: int, n: int, b: int, method: str) -> dict[str, str]:
     row["beta"] = str(beta)
     if 2 * b <= n and k >= 2:
         dec = beta_decomposition(beta)
-        co = coefficients(beta, k)
-        lo_c, up_c = asymptotic_coefficient_interval(beta, k)
+        co = coefficients(dec, k)
+        lo_c, up_c = asymptotic_coefficient_interval(dec, k)
         row["q"], row["r"], row["case"] = str(dec.q), str(dec.r), dec.regime
         row["c1"], row["c2"], row["c3"] = _fmt12(co.c1), _fmt12(co.c2), _fmt12(co.c3)
         row["lower_coeff"], row["upper_coeff"] = _fmt12(lo_c), _fmt12(up_c)

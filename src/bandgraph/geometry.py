@@ -22,15 +22,17 @@ Counts go slab by slab: a column x = i/n meets the closed polygon in
 closed runs of y, a run admits an interval of j, and C(j-i-1, k-2) sums
 over it in closed form (hockey stick).  The integer corners are scaled
 once more, so that every crossing of a column is an int and the row
-bounds are integer floor divisions.  Only the columns through a corner
-are scanned run by run; between them, in each open slab, the edges pair
-up into the runs' bounds, and the row floor of an edge repeats with the
-period of its slope's denominator, so the slab's column sums close by
-Newton's forward differences.  That is O(E² log E) integer operations
-for E edges plus min(p, slab width)·O(k²) per edge and slab, p the
-slope's denominator: no Fraction, and for a fixed polygon a cost that
-does not grow with n, where a per-point test would take O(n²·E); the
-per-point test is the oracle in ``tests/geometry_oracle.py``.
+bounds are integer floor divisions.  In each open slab between two
+corner columns the edges pair up into the runs' bounds (the even-odd
+rule), and the row floor of an edge repeats with the period of its
+slope's denominator, so the slab's column sums close by Newton's
+forward differences.  A corner column meets the closed polygon in the
+union of the closed runs of the slabs on either side and its walls.
+That is O(E² log E) integer operations for E edges plus
+min(p, slab width)·O(k²) per edge and slab, p the slope's denominator:
+no Fraction, and for a fixed polygon a cost that does not grow with n,
+where a per-point test would take O(n²·E); the per-point test is the
+oracle in ``tests/geometry_oracle.py``.
 
 The landmarks of the band decomposition are tabulated once per
 ``LandmarkPoints``, on first use, as ints over one denominator, and the
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -207,9 +208,7 @@ class LandmarkPoints:
 
 
 def landmark_points(dec: BetaDecomposition | Fraction | str) -> LandmarkPoints:
-    if not isinstance(dec, BetaDecomposition):
-        dec = beta_decomposition(dec)
-    return LandmarkPoints(dec=dec)
+    return LandmarkPoints(dec=beta_decomposition(dec))
 
 
 # ── exact measure ─────────────────────────────────────────────────────
@@ -334,9 +333,8 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
     along the band in the low regime, the apex-triangle chain in the
     high regime) are checked only where they exist.
     """
-    if not isinstance(dec, BetaDecomposition):
-        dec = beta_decomposition(dec)
-    co = coefficients(dec.beta, k)
+    dec = beta_decomposition(dec)
+    co = coefficients(dec, k)
     q, r, beta = dec.q, dec.r, dec.beta
     c1, c2, c3 = co.c1, co.c2, co.c3
     checks: list[IdentityCheck] = []
@@ -400,42 +398,6 @@ def verify_identities(dec: BetaDecomposition | Fraction | str, k: int) -> Identi
 # ── lattice counting ──────────────────────────────────────────────────
 
 
-def _column_runs(slanted, walls, c: int) -> list[tuple[int, int]]:
-    """Closed runs [y0, y1] in which column c meets the closed polygon,
-    bottom to top, in the scaled ints of ``region_vertex_count``.  The
-    non-vertical edges come as (lo, hi, slope, icpt) and meet the column
-    at y = slope*c + icpt where lo <= c <= hi; the vertical edges come
-    as (x, y0, y1) with y0 <= y1.
-
-    The line meets the boundary at the crossings of the edges that span
-    c, and along any edge lying on it; every other point of the line is
-    off the boundary.  So between two consecutive boundary values y the
-    open gap is inside or outside as a whole: inside when an edge on the
-    line covers it, or when the even-odd rule counts an odd number of
-    edge crossings above it (an upward ray from any point of the gap;
-    an edge counts when exactly one endpoint has x' <= c, that is
-    lo <= c < hi, which settles rays through corners and along edges on
-    the line).
-    """
-    on_line = [(y0, y1) for x, y0, y1 in walls if x == c]
-    levels, crossings = {y for run in on_line for y in run}, []
-    for lo, hi, slope, icpt in slanted:
-        if lo <= c <= hi:
-            levels.add(y := slope * c + icpt)
-            if c < hi:
-                crossings.append(y)
-    levels = sorted(levels)
-    crossings.sort()
-    runs = [(y, y) for y in levels[:1]]
-    for y0, y1 in zip(levels, levels[1:]):
-        above = len(crossings) - bisect_left(crossings, y1)
-        if above % 2 or any(c0 <= y0 and y1 <= c1 for c0, c1 in on_line):
-            runs[-1] = (runs[-1][0], y1)
-        else:
-            runs.append((y1, y1))
-    return runs
-
-
 def _span_sum(i: int, lo: int, hi: int, k: int) -> int:
     """Vertices with min = i and max in lo..hi, for i <= lo <= hi:
     the sum of C(j-i-1, k-2) over j, by the hockey-stick identity
@@ -490,20 +452,23 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
     so column i sits at i·D, and y by n·D·L, so that every crossing of a
     column is an int and row j sits at j·D·L.
 
-    Only the corner columns, those through a corner, are scanned one by
-    one (``_column_runs``): walls, touching corners and edges along a
-    column occur only there.  In the open slab between two consecutive
-    corner x no edges cross, so the edges spanning it, sorted by their
+    In the open slab between two consecutive corner x (those through a
+    corner) no edges cross, so the edges spanning it, sorted by their
     y at its midpoint, pair up bottom to top (the even-odd rule) into
     lower and upper bounds L(i) < U(i) of the runs, and column i adds
     C(floor(U(i)/row) - i, k-1) - C(ceil(L(i)/row) - 1 - i, k-1).  Each
     of the two sums over the slab is periodic in i (``_floor_binomial_sum``).
     A lower edge that meets the diagonal inside a slab lies on it, and
-    adds 0.  That is O(E² log E) integer operations for E edges plus,
-    for each edge in each slab, min(p, slab width)·O(k²), with p the
-    denominator of the edge's slope (1 for the omega and band polygons):
-    for a fixed polygon the cost does not grow with n.  The boundary
-    counts as inside.
+    adds 0.  A point of the closed polygon on a corner column is a limit
+    of interior points of a slab on either side, or lies on a slanted
+    edge, which bounds a pair of an adjacent slab, or on a vertical edge
+    (a wall).  So the column meets the polygon in the union of its walls
+    and the closed runs [L(x), U(x)] of the adjacent slabs' pairs, whose
+    rows are summed once each.  That is O(E² log E) integer operations
+    for E edges plus, for each edge in each slab, min(p, slab width)·O(k²),
+    with p the denominator of the edge's slope (1 for the omega and band
+    polygons): for a fixed polygon the cost does not grow with n.  The
+    boundary counts as inside.
     """
     n, k = _index("n", n), _index("k", k)
     if n < 1 or k < 1:
@@ -524,15 +489,10 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
             slope = (y1 - y0) // (x1 - x0)
             slanted.append((min(x0, x1), max(x0, x1), slope, y0 - x0 * slope))
     xs = sorted({x for x, _, _, _ in edges})
+    # the closed runs of each corner column on the lattice: its walls, and
+    # below, the runs of the slab pairs on either side at its x
+    runs = {x: [(y0, y1) for x0, y0, y1 in walls if x0 == x] for x in xs if x % d == 0}
     total = 0
-    for x in xs:
-        if x % d == 0:
-            i = x // d
-            for y0, y1 in _column_runs(slanted, walls, x):
-                lo = max(i, -(-y0 // row))
-                hi = min(n, y1 // row)
-                if lo <= hi:
-                    total += _span_sum(i, lo, hi, k)
     for xa, xb in zip(xs, xs[1:]):
         first, last = xa // d + 1, (xb - 1) // d
         spanning = sorted(
@@ -541,7 +501,18 @@ def region_vertex_count(poly: Polygon, n: int, k: int) -> int:
         )
         # at column i an edge sits at y = (slope*D)*i + icpt; ceil(y/row) - 1 = floor((y-1)/row)
         for (_, _, s0, c0), (_, _, s1, c1) in zip(spanning[::2], spanning[1::2]):
+            for x in (xa, xb):
+                if x in runs:
+                    runs[x].append((s0 * x + c0, s1 * x + c1))
             total += _floor_binomial_sum(s1 * d, c1, row, first, last, k - 1)
             if (s0 * d, c0) != (row, 0):  # not the diagonal
                 total -= _floor_binomial_sum(s0 * d, c0 - 1, row, first, last, k - 1)
+    for x, column in runs.items():
+        i = x // d
+        top = i - 1  # the last row counted in this column
+        for y0, y1 in sorted(column):
+            lo, hi = max(top + 1, -(-y0 // row)), min(n, y1 // row)
+            if lo <= hi:
+                total += _span_sum(i, lo, hi, k)
+                top = hi
     return total

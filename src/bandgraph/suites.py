@@ -410,7 +410,7 @@ def suite_meta(random_count: int = 100, seed: int = 7) -> SuiteResult:
             failures.append(Check(f"decomposition(beta={beta})", False, detail))
             continue
         for k in (2, 3, 4, 5):
-            co = coefficients(beta, k)
+            co = coefficients(dec, k)
             if co.c2 / co.c3 < 6:
                 failures.append(
                     Check(f"spread(beta={beta},k={k})", False, f"c2/c3={float(co.c2 / co.c3):.3f}")

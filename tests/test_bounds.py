@@ -81,6 +81,19 @@ class TestBetaDecomposition:
         with pytest.raises(TypeError):
             beta_decomposition(beta)
 
+    def test_takes_a_decomposition_as_it_is(self):
+        dec = beta_decomposition("7/20")
+        assert beta_decomposition(dec) is dec
+        assert coefficients(dec, 3) == coefficients("7/20", 3)
+        assert asymptotic_coefficient_interval(dec, 3) == asymptotic_coefficient_interval("7/20", 3)
+
+    @pytest.mark.parametrize("beta", [0.45, np.float64(0.45)])
+    def test_coefficients_refuse_floats(self, beta):
+        with pytest.raises(TypeError):
+            coefficients(beta, 2)
+        with pytest.raises(TypeError):
+            asymptotic_coefficient_interval(beta, 2)
+
     def test_refuses_what_is_no_decomposition_under_python_O(self):
         # the checks are explicit raises, which python -O keeps
         code = (

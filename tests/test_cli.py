@@ -15,7 +15,12 @@ import pytest
 
 import bandgraph.cli
 import bandgraph.suites
-from bandgraph.bounds import beta_decomposition, density_lower_bound, lex_upper_bound_value
+from bandgraph.bounds import (
+    BetaDecomposition,
+    beta_decomposition,
+    density_lower_bound,
+    lex_upper_bound_value,
+)
 from bandgraph.cli import CSV_COLUMNS, main, sweep_row
 from bandgraph.core_graph import Params, diameter
 from bandgraph.numbering import palindromic_vertex_count
@@ -259,6 +264,28 @@ class TestSweep:
         row = sweep_row(2, 50, 5, "low_remainder")  # 240 classes in 51 * 11 cells
         assert row["error"] == "561 table cells exceed the cap 100 for low_remainder"
         assert row["bandwidth"] == ""
+
+    @pytest.mark.parametrize(
+        "method, b, made",
+        [("lex", 140, 1), ("mirror", 140, 1), ("low_remainder", 180, 2), ("high_remainder", 140, 2)],
+    )
+    def test_beta_is_decomposed_once_per_row(self, monkeypatch, method, b, made):
+        # one decomposition for the row's coefficients and one in the band
+        # numberings' scale; info's bracket adds certify's pick of a band
+        # numbering and that numbering's scale
+        calls = []
+        check = BetaDecomposition.__post_init__
+
+        def counted(self):
+            calls.append(self.beta)
+            check(self)
+
+        monkeypatch.setattr(BetaDecomposition, "__post_init__", counted)
+        assert sweep_row(2, 400, b, method)["error"] == ""
+        assert len(calls) == made
+        calls.clear()
+        assert main(["info", "--n", "400", "--k", "2", "--b", "140"]) == 0
+        assert len(calls) == 3
 
     def test_k3_band_row_at_n_1000(self):
         # about 36M vertices but 254k span classes

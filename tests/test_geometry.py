@@ -511,20 +511,23 @@ class TestRegionCount:
         ],
     )
     def test_only_corner_columns_are_scanned(self, monkeypatch, poly, corner_columns):
+        # _span_sum(i, ...) sums a run of rows in column i; only the corner
+        # columns are summed run by run
         calls = []
-        scan = geometry._column_runs
+        span_sum = geometry._span_sum
 
-        def counted(*args):
-            calls.append(args)
-            return scan(*args)
+        def counted(i, *args):
+            calls.append(i)
+            return span_sum(i, *args)
 
-        monkeypatch.setattr(geometry, "_column_runs", counted)
-        made = {}
+        monkeypatch.setattr(geometry, "_span_sum", counted)
+        made, columns = {}, {}
         for n in (50, 10**6):
             calls.clear()
             region_vertex_count(poly, n, 3)
-            made[n] = len(calls)
-        assert made[50] == made[10**6] == corner_columns
+            made[n], columns[n] = len(calls), len(set(calls))
+        assert made[50] == made[10**6]
+        assert columns[50] == columns[10**6] == corner_columns
 
     def test_band_counts_formula(self):
         for n, k, b in ((10, 2, 3), (12, 3, 5), (9, 2, 4), (12, 4, 7)):
@@ -577,6 +580,10 @@ class TestRegionCount:
         ),
         2,
     )
+    # three corners on the column x = 1/4: zero area, and the wall's rows
+    # 2..4 are all it holds
+    @example(([(F(1, 4), F(1, 2)), (F(1, 4), F(3, 4)), (F(1, 4), 1)], 4), 2)
+    @example(([(F(1, 4), F(1, 2)), (F(1, 4), F(3, 4)), (F(1, 4), 1)], 4), 3)
     def test_matches_per_point_oracle(self, case, k):
         vertices, n = case
         poly = Polygon(vertices)
@@ -596,6 +603,10 @@ class TestRegionCount:
     # the lower edge has slope 4/5 and the slab between x = 1/7 and 6/7
     # holds the columns 1..3, fewer than the period 5
     @example(([(F(1, 7), F(2, 7)), (F(6, 7), F(6, 7)), (F(1, 7), 1)], 4), 5)
+    # three corners on the column x = 1/7: a wall between rows that holds
+    # the rows 3..6 at n = 7, and one between columns at n = 4
+    @example(([(F(1, 7), F(5, 14)), (F(1, 7), F(1, 2)), (F(1, 7), F(13, 14))], 7), 3)
+    @example(([(F(1, 7), F(2, 7)), (F(1, 7), F(3, 7)), (F(1, 7), F(5, 7))], 4), 3)
     def test_matches_per_point_oracle_off_the_lattice(self, case, k):
         vertices, n = case
         poly = Polygon(vertices)
