@@ -26,7 +26,7 @@ from .bounds import (
     exact_bandwidth_large_b,
     lex_upper_bound_value,
 )
-from .core_graph import Params, central_count, class_table_cells, diameter, vertex_count_formula
+from .core_graph import Params, central_count, diameter, vertex_count_formula
 from .hypergraph import (
     CapacityError,
     parse_hypergraph,
@@ -41,7 +41,6 @@ from .numbering import (
     lex_numbering,
     low_remainder_numbering,
     mirror_numbering,
-    palindromic_vertex_count,
 )
 from .solver import certify
 from .suites import run_suite, suite_names
@@ -73,12 +72,6 @@ NUMBERINGS = {
     "low_remainder": low_remainder_numbering,
     "high_remainder": high_remainder_numbering,
 }
-
-
-# Size guard on what evaluating one numbering holds in memory: the
-# evaluator's table cells, or the palindromic vertices mirror lists;
-# larger instances are refused instead of exhausting memory.
-MAX_TABLE_CELLS = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -136,12 +129,13 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def _bracket(p: Params) -> str:
     """The bandwidth bracket of ``certify`` and its witness; the
-    closed-form density and lex bounds above the size cap, where one of
-    certify's candidates would not fit (mirror holds the most)."""
-    lower, upper, source = density_lower_bound(p), lex_upper_bound_value(p), "closed forms"
-    if _evaluation_size(p, "mirror")[0] <= MAX_TABLE_CELLS:
+    closed-form density and lex bounds where a candidate that certify
+    builds is past the size cap."""
+    try:
         c = certify(p)
         lower, upper, source = c.lower, c.upper, f"witness: {c.method}"
+    except CapacityError:
+        lower, upper, source = density_lower_bound(p), lex_upper_bound_value(p), "closed forms"
     if lower == upper:
         return f"bounds meet: exact bandwidth = {lower} ({source})"
     return f"bandwidth in [{lower}, {upper}] ({source})"
@@ -287,26 +281,12 @@ def sweep_row(k: int, n: int, b: int, method: str) -> dict[str, str]:
         row["lower_coeff"], row["upper_coeff"] = _fmt12(lo_c), _fmt12(up_c)
     try:
         p = Params(n=n, k=k, b=b)
-        size, unit = _evaluation_size(p, method)
-        if size > MAX_TABLE_CELLS:
-            raise ValueError(f"{size} {unit} exceed the cap {MAX_TABLE_CELLS} for {method}")
         bw = bandwidth_of_numbering(NUMBERINGS[method](p))
         row["bandwidth"] = str(bw)
         row["ratio"] = _fmt12(Fraction(bw, n**k))
     except ValueError as e:
         row["error"] = str(e)
     return row
-
-
-def _evaluation_size(p: Params, method: str) -> tuple[int, str]:
-    """What evaluating one numbering holds at once, with its unit: the
-    evaluator's (n+1)·(min(2b, n)+1) table cells, one for each span class
-    and more, or the palindromic vertices mirror lists while it is built,
-    where those are more."""
-    cells = class_table_cells(p)
-    if method == "mirror" and palindromic_vertex_count(p) > cells:
-        return palindromic_vertex_count(p), "palindromic vertices"
-    return cells, "table cells"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

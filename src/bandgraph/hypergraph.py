@@ -52,7 +52,8 @@ COVER_CAP = 20
 
 
 class CapacityError(ValueError):
-    """Instance too large for the exact solvers; use bounds instead."""
+    """Instance too large for the exact solvers, or past a numbering
+    builder's size cap; use bounds instead."""
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,13 @@ from .core_graph import (  # np: numpy, loaded on first use
     adjacent_class_max,
     are_adjacent,
     class_size,
+    class_table_cells,
     is_vertex,
     np,
     span_classes,
     vertex_count_formula,
 )
+from .hypergraph import CapacityError
 
 __all__ = [
     "Numbering",
@@ -79,6 +81,11 @@ __all__ = [
 
 # Labels and class sizes are int64; a graph needs fewer vertices than this.
 MAX_LABELED_VERTICES = 2**62
+
+# A builder refuses an instance whose evaluation would hold more items than
+# this: the evaluator's table cells, or mirror's palindromic vertices where
+# those are more.  A cell costs about 60 B of peak RSS (2-core 8 GB VM).
+MAX_TABLE_CELLS = 2_000_000
 
 
 class Numbering:
@@ -177,6 +184,16 @@ def _vertex_total(p: Params) -> int:
     if total >= MAX_LABELED_VERTICES:
         raise ValueError(f"G{p} has {total} vertices; int64 labels need fewer than 2^62")
     return total
+
+
+def _check_size(p: Params, tag: str) -> None:
+    """Refuse with CapacityError, from its counts alone, an instance past
+    MAX_TABLE_CELLS; every library builder calls this before anything else."""
+    size, unit = class_table_cells(p), "table cells"
+    if tag == "mirror" and (palindromic := palindromic_vertex_count(p)) > size:
+        size, unit = palindromic, "palindromic vertices"
+    if size > MAX_TABLE_CELLS:
+        raise CapacityError(f"{size} {unit} exceed the cap {MAX_TABLE_CELLS} for {tag}")
 
 
 def _class_sizes(p: Params) -> np.ndarray:
@@ -289,6 +306,7 @@ def lex_numbering(p: Params) -> Numbering:
     """Ascending lex order: every class's label range runs from its
     lex-first to its lex-last member, ranked in the whole vertex set
     (W(l) = min(b, n-l))."""
+    _check_size(p, "lex")
     table = _binomials(p)
     lo, hi = span_classes(p).T
     first, last = _Lex(table, np.minimum(p.b, p.n - np.arange(p.n + 1))).class_ranks(lo, hi)
@@ -443,6 +461,7 @@ def mirror_numbering(p: Params) -> Numbering:
     lex on the reversed tuple inside r1.  When 2b >= n+k-1 the central
     block is nonempty and the bandwidth equals ceil((|V|+|C|-2)/2),
     which is optimal; the construction itself is valid for every p."""
+    _check_size(p, "mirror")
     labels = _MirrorLabels(p)
     return Numbering._from_table(p, "mirror", labels.class_labels(), labels.order)
 
@@ -552,6 +571,7 @@ def low_remainder_numbering(p: Params) -> Numbering:
     strip 0, triangle 1, strip 1, ..., triangle q, strip q.  Strips are
     ordered by (M_i, y-x), triangles by the apex-fan key; each class's
     vertices follow in lex order."""
+    _check_size(p, "low_remainder")
     sc = _band_scale(p)
     if sc.regime != "low":
         raise ValueError(
@@ -582,6 +602,7 @@ def high_remainder_numbering(p: Params) -> Numbering:
     keeps lower-half points before upper-half points at an equal
     abscissa and equals the reflected-radius order on each ray.
     """
+    _check_size(p, "high_remainder")
     sc = _band_scale(p)
     if sc.regime == "low":
         raise ValueError(

@@ -214,7 +214,8 @@ def certify(p: Params, run_exact: bool = False) -> Certificate:
     candidates lex, mirror and the band numbering of b/n's regime
     (2b <= n only) are built and evaluated in that order; the first of
     least width is the witness, and no candidate is built once one meets
-    the lower bound, as a later one could only tie.
+    the lower bound, as a later one could only tie.  A candidate past
+    ``numbering.MAX_TABLE_CELLS`` raises its builder's CapacityError.
 
     ``run_exact`` searches the explicit graph only within the open
     bracket: ``exact_bandwidth_with_witness`` takes lower and the

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-import bandgraph.cli
+import bandgraph.numbering
+import bandgraph.solver
 import bandgraph.suites
 from bandgraph.bounds import (
     BetaDecomposition,
@@ -23,6 +24,7 @@ from bandgraph.bounds import (
 )
 from bandgraph.cli import CSV_COLUMNS, main, sweep_row
 from bandgraph.core_graph import Params, diameter
+from bandgraph.hypergraph import CapacityError
 from bandgraph.numbering import palindromic_vertex_count
 from bandgraph.suites import Check, SuiteResult
 
@@ -70,10 +72,32 @@ class TestInfo:
         assert "  bandwidth in [48, 60] (witness: low_remainder)\n" in out
 
     def test_bracket_above_table_cap_uses_closed_forms(self, capsys, monkeypatch):
-        monkeypatch.setattr(bandgraph.cli, "MAX_TABLE_CELLS", 100)
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", 100)
         assert main(["info", "--n", "20", "--k", "2", "--b", "9"]) == 0
         out = capsys.readouterr().out
         assert "  bandwidth in [48, 72] (closed forms)\n" in out
+
+    def test_bracket_falls_back_when_certify_reaches_a_refused_candidate(self, capsys, monkeypatch):
+        # lex (9,393 cells) is built and misses the density bound; mirror
+        # (28,942,441 palindromic vertices) is refused
+        built = []
+        for name in ("lex_numbering", "mirror_numbering"):
+            build = getattr(bandgraph.solver, name)
+
+            def record(p, build=build):
+                try:
+                    f = build(p)
+                except CapacityError as e:
+                    built.append(str(e))
+                    raise
+                built.append(f.tag)
+                return f
+
+            monkeypatch.setattr(bandgraph.solver, name, record)
+        assert main(["info", "--n", "100", "--k", "8", "--b", "46"]) == 0
+        out = capsys.readouterr().out
+        assert "  bandwidth in [1068263405, 2087462520] (closed forms)\n" in out
+        assert built == ["lex", "28942441 palindromic vertices exceed the cap 2000000 for mirror"]
 
     def test_bracket_from_certify_past_the_old_vertex_cap(self, capsys):
         # 35.9M vertices: lex and mirror no longer list them
@@ -260,7 +284,7 @@ class TestSweep:
         assert row.endswith(",40000400001 table cells exceed the cap 2000000 for lex")
 
     def test_size_guard_counts_table_cells_for_band_rows(self, monkeypatch):
-        monkeypatch.setattr(bandgraph.cli, "MAX_TABLE_CELLS", 100)
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", 100)
         row = sweep_row(2, 50, 5, "low_remainder")  # 240 classes in 51 * 11 cells
         assert row["error"] == "561 table cells exceed the cap 100 for low_remainder"
         assert row["bandwidth"] == ""

@@ -12,24 +12,29 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bandgraph.numbering
 import numbering_oracle
 from bandgraph.bounds import beta_decomposition, exact_bandwidth_large_b, lex_upper_bound_value
 from bandgraph.core_graph import (
     Params,
     are_adjacent,
     central_count,
+    class_table_cells,
     enumerate_vertices,
     is_central,
     vertex_count_formula,
 )
+from bandgraph.hypergraph import CapacityError
 from bandgraph.numbering import (
     Numbering,
+    _check_size,
     _exact_position,
     bandwidth_by_edge_scan,
     bandwidth_of_numbering,
@@ -40,6 +45,7 @@ from bandgraph.numbering import (
     mirror_numbering,
     palindromic_vertex_count,
 )
+from bandgraph.solver import certify
 
 
 def brute_bandwidth_of_order(order, p: Params) -> int:
@@ -192,8 +198,10 @@ class TestInt64Refusals:
                 build(p)
             assert time.perf_counter() - start < 1
 
-    def test_band_keys_refuse_large_n(self):
-        # n^3 < 2^63 holds up to n = 2^21 - 1
+    def test_band_keys_refuse_large_n(self, monkeypatch):
+        # n^3 < 2^63 holds up to n = 2^21 - 1; the size cap, raised past the
+        # instance's 14,680,071 table cells, would refuse it first
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", 15_000_000)
         for fn in (low_remainder_numbering, high_remainder_numbering):
             with pytest.raises(ValueError, match="n\\^3"):
                 fn(Params(n=2**21, k=2, b=3))
@@ -203,6 +211,70 @@ class TestInt64Refusals:
         assert vertex_count_formula(p) >= 2**62
         with pytest.raises(ValueError, match="2\\^62"):
             low_remainder_numbering(p)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# each builder with an instance of its regime
+CAPPED_BUILDS = [
+    (lex_numbering, Params(n=20, k=2, b=9)),
+    (mirror_numbering, Params(n=20, k=2, b=9)),
+    (low_remainder_numbering, Params(n=20, k=2, b=9)),
+    (high_remainder_numbering, Params(n=20, k=2, b=7)),
+]
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("build, p", CAPPED_BUILDS, ids=[b.__name__ for b, _ in CAPPED_BUILDS])
+    def test_builds_at_the_cap_and_refuses_past_it(self, monkeypatch, build, p):
+        cells = class_table_cells(p)
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", cells)
+        tag = build(p).tag
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", cells - 1)
+        message = f"{cells} table cells exceed the cap {cells - 1} for {tag}"
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            build(p)
+
+    def test_certify_refuses_past_the_cap(self, monkeypatch):
+        # lex, its first candidate, is refused
+        p = Params(n=20, k=2, b=9)
+        monkeypatch.setattr(bandgraph.numbering, "MAX_TABLE_CELLS", 398)
+        with pytest.raises(CapacityError, match="^399 table cells exceed the cap 398 for lex$"):
+            certify(p)
+
+    def test_mirror_counts_palindromic_vertices(self):
+        # 153.7M palindromic vertices (lo = 10..19) outnumber the 61² cells
+        p = Params(n=60, k=10, b=40)
+        message = f"{palindromic_vertex_count(p)} palindromic vertices exceed the cap 2000000 for mirror"
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            mirror_numbering(p)
+
+    @pytest.mark.parametrize("build", [b for b, _ in CAPPED_BUILDS], ids=lambda b: b.__name__)
+    def test_refuses_before_allocating(self, build):
+        # 200001 vertices in 40,000,400,001 table cells
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^40000400001 table cells exceed the cap"):
+                build(Params(n=200000, k=1, b=100000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_benchmark_instances_stay_under_the_cap(self, monkeypatch):
+        # so that no golden answer of the benchmark turns into a refusal:
+        # a sweep row builds its method, certify any of the four
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        every_tag = ("lex", "mirror", "low_remainder", "high_remainder")
+        for inst in workloads.all_instances("band-sweep"):
+            k, n, b, method = inst.args
+            _check_size(Params(n, k, b), method)
+        for inst in workloads.all_instances("certify-grid"):
+            n, k, b, _ = inst.args
+            for tag in every_tag:
+                _check_size(Params(n, k, b), tag)
 
 
 class TestExactPosition:
